@@ -19,6 +19,8 @@ from .core import (
     SkewMatrix,
     ToleranceConfig,
     as_vec3,
+    row_norms,
+    skew_matrices,
 )
 
 __all__ = [
@@ -31,6 +33,7 @@ __all__ = [
     "infinitesimal_rotation",
     "compose_infinitesimal",
     "exp_so3",
+    "exp_matrices",
     "log_so3",
 ]
 
@@ -97,7 +100,7 @@ def infinitesimal_rotation(dphi) -> np.ndarray:
     Returned as a plain 3x3 array, not a RotationMatrix: it is orthogonal
     only to first order in ||dphi||.
     """
-    return np.eye(3) + hat(dphi).matrix
+    return np.eye(3) + skew_matrices(as_vec3(dphi))
 
 
 def compose_infinitesimal(d1, d2) -> np.ndarray:
@@ -113,16 +116,19 @@ def exp_so3(phi, tol: ToleranceConfig = DEFAULT_TOL) -> RotationMatrix:
     coefficients switch to their second-order Taylor expansions to avoid
     cancellation.
     """
-    phi = as_vec3(phi)
-    theta = float(np.linalg.norm(phi))
-    if theta < tol.small_angle_tol:
-        a = 1.0 - theta * theta / 6.0
-        b = 0.5 - theta * theta / 24.0
-    else:
-        a = np.sin(theta) / theta
-        b = (1.0 - np.cos(theta)) / (theta * theta)
-    s = hat(phi).matrix
-    return RotationMatrix(np.eye(3) + a * s + b * (s @ s), tol)
+    return RotationMatrix(exp_matrices(as_vec3(phi), tol.small_angle_tol), tol)
+
+
+def exp_matrices(phis: np.ndarray, small_angle_tol: float) -> np.ndarray:
+    """The Rodrigues formula of exp_so3 over (..., 3) finite axis-angle
+    vectors, giving (..., 3, 3) matrices without the SO(3) check."""
+    theta = row_norms(phis)[..., None, None]
+    t2 = theta * theta
+    with np.errstate(invalid="ignore", divide="ignore"):
+        a = np.where(theta < small_angle_tol, 1.0 - t2 / 6.0, np.sin(theta) / theta)
+        b = np.where(theta < small_angle_tol, 0.5 - t2 / 24.0, (1.0 - np.cos(theta)) / t2)
+    s = skew_matrices(phis)
+    return np.eye(3) + a * s + b * (s @ s)
 
 
 _LOG_NEAR_PI = 1e-3  # radians from pi below which the symmetric-part branch is used

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -173,19 +172,13 @@ def cmd_propagate(args) -> int:
         methods = [_METHODS[args.method]]
 
     sampling = RateSampling(args.rate_sampling)
-
-    def run(method: Method):
+    runs = []
+    for method in methods:  # all methods run before any file is written
         traj = propagate(r0, profile, args.dt, method, sampling)
-        return method, traj, drift_report(traj)
-
-    if len(methods) > 1:
-        with ThreadPoolExecutor(max_workers=len(methods)) as pool:
-            results = list(pool.map(run, methods))
-    else:
-        results = [run(methods[0])]
+        runs.append((method, traj, drift_report(traj)))
 
     reports = []
-    for method, traj, drift in results:
+    for method, traj, drift in runs:
         out = _method_output_path(args.output, method) if len(methods) > 1 \
             else Path(args.output)
         kio.write_trajectory(out, traj, drift, degrees_input=args.degrees)

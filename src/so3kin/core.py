@@ -6,6 +6,9 @@ Conventions used throughout the package:
 * vectors are numpy arrays of shape (3,), matrices of shape (3, 3)
 * matrices are row-major when flattened or serialized
 * every value type is immutable; operations are pure functions
+* row_norms, ortho_defects, skew_matrices, first_non_rotation and
+  polar_factor are the unchecked array path on raw (N, 3, 3) stacks that
+  the package uses internally; the value types are their one-matrix case
 """
 from __future__ import annotations
 
@@ -27,12 +30,17 @@ __all__ = [
     "as_vec3",
     "as_mat3",
     "ortho_defect",
+    "ortho_defects",
+    "row_norms",
+    "first_non_rotation",
     "RotationMatrix",
     "SkewMatrix",
+    "skew_matrices",
     "skew_from_matrix",
     "Frame",
     "validate_rotation",
     "project_to_so3",
+    "polar_factor",
 ]
 
 
@@ -90,9 +98,24 @@ def as_mat3(m) -> np.ndarray:
     return arr
 
 
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norms over the last axis of x.
+
+    Each row is reduced as a dot product, the way np.linalg.norm reduces a
+    single vector, so a batch gives bit for bit the norms of its rows.
+    """
+    return np.sqrt((x[..., None, :] @ x[..., :, None])[..., 0, 0])
+
+
+def ortho_defects(mats: np.ndarray) -> np.ndarray:
+    """Frobenius norms of M^T M - I over a (..., 3, 3) stack."""
+    gram = np.swapaxes(mats, -1, -2) @ mats - np.eye(3)
+    return row_norms(gram.reshape(gram.shape[:-2] + (9,)))
+
+
 def ortho_defect(m: np.ndarray) -> float:
     """Frobenius norm of M^T M - I."""
-    return float(np.linalg.norm(m.T @ m - np.eye(3)))
+    return float(ortho_defects(np.asarray(m)))
 
 
 @dataclass(frozen=True)
@@ -113,6 +136,32 @@ class ToleranceConfig:
 DEFAULT_TOL = ToleranceConfig()
 
 
+def first_non_rotation(mats: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL):
+    """First matrix of an (N, 3, 3) stack that is not in SO(3), or None.
+
+    Returns (index, error) for the lowest failing index, the error being
+    the one that matrix alone would raise: NonFinite, NotOrthogonal or
+    NotProperRotation, checked in that order.  The caller raises it.
+    """
+    finite = np.isfinite(mats).all(axis=(1, 2))
+    with np.errstate(invalid="ignore", over="ignore"):
+        defects = ortho_defects(mats)
+        dets = np.linalg.det(mats)
+    det_errs = np.abs(dets - 1.0)
+    bad = ~finite | (defects > tol.ortho_tol) | (det_errs > tol.det_tol)
+    if not bad.any():
+        return None
+    i = int(np.argmax(bad))
+    if not finite[i]:
+        return i, NonFinite("matrix has non-finite entries")
+    if defects[i] > tol.ortho_tol:
+        return i, NotOrthogonal(
+            f"||M^T M - I||_F = {defects[i]:.3e} exceeds ortho_tol = {tol.ortho_tol:.3e}")
+    return i, NotProperRotation(
+        f"|det - 1| = {det_errs[i]:.3e} exceeds det_tol = {tol.det_tol:.3e}"
+        f" (det = {dets[i]:.6f})")
+
+
 @dataclass(frozen=True)
 class RotationMatrix:
     """A validated element of SO(3).
@@ -127,17 +176,9 @@ class RotationMatrix:
 
     def __post_init__(self):
         m = as_mat3(self.matrix)
-        defect = ortho_defect(m)
-        if defect > self.tol.ortho_tol:
-            raise NotOrthogonal(
-                f"||M^T M - I||_F = {defect:.3e} exceeds ortho_tol = {self.tol.ortho_tol:.3e}"
-            )
-        det = float(np.linalg.det(m))
-        if abs(det - 1.0) > self.tol.det_tol:
-            raise NotProperRotation(
-                f"|det - 1| = {abs(det - 1.0):.3e} exceeds det_tol = {self.tol.det_tol:.3e}"
-                f" (det = {det:.6f})"
-            )
+        failure = first_non_rotation(m[None], self.tol)
+        if failure is not None:
+            raise failure[1]
         object.__setattr__(self, "matrix", m)
 
     @classmethod
@@ -167,8 +208,17 @@ class SkewMatrix:
 
     @property
     def matrix(self) -> np.ndarray:
-        x, y, z = self.v
-        return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+        return skew_matrices(self.v)
+
+
+def skew_matrices(v: np.ndarray) -> np.ndarray:
+    """hat over the last axis: (..., 3) vectors to (..., 3, 3) skew matrices."""
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+    out = np.zeros(v.shape[:-1] + (3, 3))
+    out[..., 0, 1], out[..., 0, 2] = -z, y
+    out[..., 1, 0], out[..., 1, 2] = z, -x
+    out[..., 2, 0], out[..., 2, 1] = -y, x
+    return out
 
 
 def skew_from_matrix(m, tol: ToleranceConfig = DEFAULT_TOL) -> SkewMatrix:
@@ -235,7 +285,16 @@ def project_to_so3(m, tol: ToleranceConfig = DEFAULT_TOL) -> RotationMatrix:
     1e-15 in Frobenius norm.  Requires det(m) > 0 so the orthogonal polar
     factor is a proper rotation.
     """
-    x = np.array(as_mat3(m))
+    return RotationMatrix(polar_factor(np.array(as_mat3(m))), tol)
+
+
+def polar_factor(x: np.ndarray) -> np.ndarray:
+    """The polar Newton iteration of project_to_so3 on a finite 3x3 array,
+    without the final SO(3) check.
+
+    Raises NotProjectable for det <= 0 or a singular iterate and
+    NoConvergence past the iteration cap.
+    """
     det = float(np.linalg.det(x))
     if det <= 0.0:
         raise NotProjectable(f"det = {det:.3e} is not positive; no nearest rotation")
@@ -248,9 +307,7 @@ def project_to_so3(m, tol: ToleranceConfig = DEFAULT_TOL) -> RotationMatrix:
         delta = float(np.linalg.norm(nxt - x))
         x = nxt
         if delta <= _PROJECTION_STOP:
-            break
-    else:
-        raise NoConvergence(
-            f"polar iteration did not converge in {_PROJECTION_MAX_ITER} iterations"
-        )
-    return RotationMatrix(x, tol)
+            return x
+    raise NoConvergence(
+        f"polar iteration did not converge in {_PROJECTION_MAX_ITER} iterations"
+    )

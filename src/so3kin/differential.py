@@ -12,7 +12,8 @@ from typing import Optional
 import numpy as np
 
 from .algebra import hat
-from .core import RotationMatrix, So3Error
+from .core import RotationMatrix, So3Error, row_norms, skew_matrices
+from .propagator import NonUniformSampling, sample_rates, subsample, uniform_step
 
 __all__ = [
     "NonUniformSampling",
@@ -26,10 +27,6 @@ __all__ = [
     "residual_order_report",
     "geodesic_distance",
 ]
-
-
-class NonUniformSampling(So3Error):
-    """Trajectory sample times are not uniformly spaced."""
 
 
 class TooFewSamples(So3Error):
@@ -59,22 +56,13 @@ def differential_increment(dphi, r: RotationMatrix) -> np.ndarray:
     """Increment of R under an infinitesimal rotation: hat(dphi) @ R.
 
     Agrees entrywise exactly with (infinitesimal_rotation(dphi) - I) @ R.
+    With a rate w in place of dphi it is the time derivative hat(w) @ R.
     """
     return hat(dphi).matrix @ r.matrix
 
 
-def rotation_rate(w, r: RotationMatrix) -> np.ndarray:
-    """Time derivative of R for spatial angular velocity w: hat(w) @ R."""
-    return hat(w).matrix @ r.matrix
-
-
-def _uniform_step(times: np.ndarray) -> float:
-    diffs = np.diff(times)
-    h = float(np.mean(diffs))
-    scale = max(1.0, float(np.max(np.abs(times))))
-    if np.max(np.abs(diffs - h)) > 1e-12 * scale:
-        raise NonUniformSampling("trajectory sample times deviate from a uniform grid")
-    return h
+# Time derivative of R for spatial angular velocity w: hat(w) @ R.
+rotation_rate = differential_increment
 
 
 def finite_difference_residual(trajectory, profile) -> ResidualReport:
@@ -84,22 +72,17 @@ def finite_difference_residual(trajectory, profile) -> ResidualReport:
     central difference (R[k+1] - R[k-1]) / (2h) minus hat(w(t_k)) @ R[k].
     Endpoints are skipped so all residuals share the O(h^2) error order.
     """
-    from .propagator import sample_rate  # deferred to avoid an import cycle
-
     times = np.asarray(trajectory.times, dtype=float)
     mats = np.asarray(trajectory.matrices, dtype=float)
     if len(times) < 3:
         raise TooFewSamples(f"need at least 3 samples, got {len(times)}")
-    h = _uniform_step(times)
+    h = uniform_step(times)
 
-    per_sample: list[tuple[float, float]] = []
-    for k in range(1, len(times) - 1):
-        diff = (mats[k + 1] - mats[k - 1]) / (2.0 * h)
-        w = sample_rate(profile, float(times[k]))
-        residual = float(np.linalg.norm(diff - hat(w).matrix @ mats[k]))
-        per_sample.append((float(times[k]), residual))
-    max_residual = max(res for _, res in per_sample)
-    return ResidualReport(max_residual=max_residual, per_sample=per_sample,
+    diff = (mats[2:] - mats[:-2]) / (2.0 * h)
+    rates = skew_matrices(sample_rates(profile, times[1:-1]))
+    residuals = row_norms((diff - rates @ mats[1:-1]).reshape(-1, 9))
+    return ResidualReport(max_residual=float(residuals.max()),
+                          per_sample=list(zip(times[1:-1].tolist(), residuals.tolist())),
                           step_sizes=[h], estimated_order=None)
 
 
@@ -127,8 +110,6 @@ def residual_order_report(trajectory, profile, strides=(1, 2, 4)) -> ResidualRep
     to estimate the convergence order.  per_sample and max_residual refer
     to the finest (stride 1 or smallest given) grid.
     """
-    from .propagator import subsample
-
     strides = sorted(set(int(s) for s in strides))
     if any(s < 1 for s in strides):
         raise DegenerateInput("strides must be positive integers")

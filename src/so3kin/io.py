@@ -57,10 +57,7 @@ def _read_rows(path, expected_header: str):
     rows: list[list[float]] = []
     n_cols = expected_header.count(",") + 1
     header_seen = False
-    try:
-        text = Path(path).read_text()
-    except OSError:
-        raise
+    text = Path(path).read_text()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -122,10 +119,13 @@ def write_trajectory(path, traj: Trajectory, drift: DriftReport,
         f"# degrees_input={str(degrees_input).lower()}",
         TRAJECTORY_HEADER,
     ]
-    for (t, m), (_, ortho_err, det_err) in zip(zip(traj.times, traj.matrices),
-                                               drift.per_sample):
-        values = (t, *m.reshape(9), ortho_err, det_err)
-        lines.append(",".join(fmt(x) for x in values))
+    n = len(traj)
+    table = np.empty((n, 12))
+    table[:, 0] = traj.times
+    table[:, 1:10] = traj.matrices.reshape(n, 9)
+    table[:, 10:] = np.array(drift.per_sample).reshape(n, 3)[:, 1:]
+    row = ",".join(["%.17g"] * 12)  # fmt's format, applied to a whole row at once
+    lines += [row % values for values in map(tuple, (table + 0.0).tolist())]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -16,10 +16,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import exp_so3, hat
-from .core import RotationMatrix, So3Error, as_vec3, ortho_defect, project_to_so3
+from .algebra import exp_matrices, exp_so3
+from .core import (
+    NonFinite,
+    RotationMatrix,
+    So3Error,
+    as_vec3,
+    first_non_rotation,
+    ortho_defects,
+    polar_factor,
+    project_to_so3,
+    skew_matrices,
+)
 
 __all__ = [
+    "NonUniformSampling",
     "OutOfRange",
     "EmptyProfile",
     "BadStep",
@@ -30,6 +41,8 @@ __all__ = [
     "Trajectory",
     "DriftReport",
     "sample_rate",
+    "sample_rates",
+    "uniform_step",
     "step_exponential",
     "step_euler",
     "step_euler_renorm",
@@ -37,6 +50,13 @@ __all__ = [
     "subsample",
     "drift_report",
 ]
+
+
+class NonUniformSampling(So3Error, ValueError):
+    """Trajectory sample times are not uniformly spaced.
+
+    Also a ValueError, so a malformed trajectory file reads as a parse error.
+    """
 
 
 class OutOfRange(So3Error):
@@ -136,10 +156,7 @@ class Trajectory:
         if times.size == 0 or mats.shape != (times.size, 3, 3):
             raise ValueError(f"matrices shape {mats.shape} does not match {times.size} samples")
         if times.size > 1:
-            diffs = np.diff(times)
-            scale = max(1.0, float(np.max(np.abs(times))))
-            if np.max(np.abs(diffs - np.mean(diffs))) > 1e-12 * scale:
-                raise ValueError("trajectory sample times are not uniform")
+            uniform_step(times)
         times.flags.writeable = False
         mats.flags.writeable = False
         object.__setattr__(self, "times", times)
@@ -162,6 +179,18 @@ class DriftReport:
     max_det_err: float
 
 
+def uniform_step(times: np.ndarray) -> float:
+    """The step of a uniform time grid (at least 2 samples); raises
+    NonUniformSampling when any interval deviates from the mean by more
+    than 1e-12 * max(1, max|t|)."""
+    diffs = np.diff(times)
+    h = float(np.mean(diffs))
+    scale = max(1.0, float(np.max(np.abs(times))))
+    if np.max(np.abs(diffs - h)) > 1e-12 * scale:
+        raise NonUniformSampling("trajectory sample times deviate from a uniform grid")
+    return h
+
+
 def sample_rate(profile: RateProfile, t: float) -> np.ndarray:
     """Evaluate the profile at time t (inclusive of both endpoints).
 
@@ -169,18 +198,30 @@ def sample_rate(profile: RateProfile, t: float) -> np.ndarray:
     interpolation blends the bracketing samples.  Both are exact at the
     sample times.
     """
+    return sample_rates(profile, np.array([t], dtype=float))[0]
+
+
+def sample_rates(profile: RateProfile, ts: np.ndarray) -> np.ndarray:
+    """sample_rate at every time of a 1-D array, as an (N, 3) array.
+
+    Raises OutOfRange naming the first time outside the span.
+    """
     times, omegas = profile.times, profile.omegas
     t0, tf = profile.span
     slack = 1e-9 * max(1.0, abs(t0), abs(tf))
-    if t < t0 - slack or t > tf + slack:
+    outside = (ts < t0 - slack) | (ts > tf + slack)
+    if outside.any():
+        t = float(ts[np.argmax(outside)])
         raise OutOfRange(f"t = {t} outside profile span [{t0}, {tf}]")
-    t = min(max(t, t0), tf)
-    idx = int(np.searchsorted(times, t, side="right")) - 1
-    idx = min(max(idx, 0), times.size - 1)
-    if profile.interpolation is Interpolation.ZERO_ORDER_HOLD or idx == times.size - 1:
-        return np.array(omegas[idx])
-    frac = (t - times[idx]) / (times[idx + 1] - times[idx])
-    return (1.0 - frac) * omegas[idx] + frac * omegas[idx + 1]
+    ts = np.minimum(np.maximum(ts, t0), tf)
+    idx = np.clip(np.searchsorted(times, ts, side="right") - 1, 0, times.size - 1)
+    out = omegas[idx]
+    if profile.interpolation is Interpolation.LINEAR:
+        blend = idx < times.size - 1
+        i, t = idx[blend], ts[blend]
+        frac = ((t - times[i]) / (times[i + 1] - times[i]))[:, None]
+        out[blend] = (1.0 - frac) * omegas[i] + frac * omegas[i + 1]
+    return out
 
 
 def step_exponential(r: RotationMatrix, omega, dt: float) -> RotationMatrix:
@@ -194,7 +235,7 @@ def step_euler(r, omega, dt: float) -> np.ndarray:
     whose orthogonality defect grows as dt^2."""
     _check_step(dt)
     m = r.matrix if isinstance(r, RotationMatrix) else np.asarray(r, dtype=float)
-    return (np.eye(3) + hat(dt * as_vec3(omega)).matrix) @ m
+    return (np.eye(3) + skew_matrices(dt * as_vec3(omega))) @ m
 
 
 def step_euler_renorm(r: RotationMatrix, omega, dt: float) -> RotationMatrix:
@@ -228,26 +269,44 @@ def propagate(r0: RotationMatrix, profile: RateProfile, dt: float, method: Metho
     truncated = n_steps * dt < span * (1.0 - 1e-12)
 
     times = t0 + dt * np.arange(n_steps + 1)
+    offset = 0.5 * dt if rate_sampling is RateSampling.MIDPOINT else 0.0
+    phis = dt * sample_rates(profile, t0 + np.arange(n_steps) * dt + offset)
+    nonfinite = ~np.isfinite(phis).all(axis=1)
+    if nonfinite.any():
+        k = int(np.argmax(nonfinite))
+        raise NonFinite(f"step {k} (t = {float(times[k])}): rotation increment dt * w "
+                        f"has non-finite components: {phis[k]}")
+    if method is Method.EXPONENTIAL:
+        increments = exp_matrices(phis, r0.tol.small_angle_tol)
+    else:
+        increments = np.eye(3) + skew_matrices(phis)
+
+    # Only the chain R[k+1] = E[k] @ R[k] is serial.
     mats = np.empty((n_steps + 1, 3, 3))
     mats[0] = r0.matrix
-    offset = 0.5 * dt if rate_sampling is RateSampling.MIDPOINT else 0.0
-
-    if method is Method.EULER:
-        state = np.array(r0.matrix)
-        for k in range(n_steps):
-            w = sample_rate(profile, t0 + k * dt + offset)
-            state = step_euler(state, w, dt)
-            mats[k + 1] = state
-    else:
-        step = step_exponential if method is Method.EXPONENTIAL else step_euler_renorm
-        rot = r0
-        for k in range(n_steps):
-            w = sample_rate(profile, t0 + k * dt + offset)
-            rot = step(rot, w, dt)
-            mats[k + 1] = rot.matrix
+    for inc, cur, nxt in zip(increments, mats[:-1], mats[1:]):
+        np.dot(inc, cur, out=nxt)
+        if method is Method.EULER_RENORM:
+            nxt[...] = polar_factor(nxt)
+    if method is not Method.EULER:
+        _check_chain(increments if method is Method.EXPONENTIAL else None, mats, times, r0.tol)
 
     return Trajectory(times=times, matrices=mats, method=method.value, dt=dt,
                       initial=r0.matrix, truncated_span=truncated)
+
+
+def _check_chain(increments, mats, times, tol) -> None:
+    """Raise the SO(3) error that checking each step in turn meets first:
+    step k checks its increment (when given), then the sample k + 1 it
+    produced.  The message names the index and time."""
+    sample = first_non_rotation(mats[1:], tol)
+    inc = None if increments is None else first_non_rotation(increments, tol)
+    if inc is not None and (sample is None or inc[0] <= sample[0]):
+        k, error = inc
+        raise type(error)(f"increment of step {k} (t = {float(times[k])}): {error}")
+    if sample is not None:
+        k, error = sample
+        raise type(error)(f"sample {k + 1} (t = {float(times[k + 1])}): {error}")
 
 
 def subsample(traj: Trajectory, stride: int) -> Trajectory:
@@ -263,9 +322,8 @@ def subsample(traj: Trajectory, stride: int) -> Trajectory:
 
 def drift_report(traj: Trajectory) -> DriftReport:
     """Measure orthogonality and determinant drift at every sample."""
-    per_sample = []
-    for t, m in zip(traj.times, traj.matrices):
-        per_sample.append((float(t), ortho_defect(m), abs(float(np.linalg.det(m)) - 1.0)))
-    return DriftReport(per_sample=per_sample,
-                       max_ortho_err=max(p[1] for p in per_sample),
-                       max_det_err=max(p[2] for p in per_sample))
+    ortho = ortho_defects(traj.matrices)
+    det = np.abs(np.linalg.det(traj.matrices) - 1.0)
+    return DriftReport(per_sample=list(zip(traj.times.tolist(), ortho.tolist(), det.tolist())),
+                       max_ortho_err=float(ortho.max()),
+                       max_det_err=float(det.max()))

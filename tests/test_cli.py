@@ -119,6 +119,19 @@ class TestVerifyCommand:
         assert run(["verify", "--trajectory", tmp_path / "nope.csv",
                     "--profile", const_profile]) == 2
 
+    def test_non_uniform_trajectory_exits_2(self, tmp_path, const_profile, capsys):
+        out = tmp_path / "traj.csv"
+        assert run(["propagate", "--input", const_profile, "--dt", "0.1",
+                    "--output", out]) == 0
+        lines = out.read_text().splitlines()
+        row = lines[10].split(",")
+        row[0] = "0.42"
+        lines[10] = ",".join(row)
+        out.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run(["verify", "--trajectory", out, "--profile", const_profile]) == 2
+        assert "uniform" in capsys.readouterr().err
+
 
 class TestMatrixCommands:
     def test_hat(self, capsys):

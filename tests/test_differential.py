@@ -13,9 +13,16 @@ from so3kin.differential import (
     residual_order_report,
     rotation_rate,
 )
-from so3kin.propagator import RateProfile, Trajectory
+from so3kin.propagator import (
+    Interpolation,
+    Method,
+    RateProfile,
+    Trajectory,
+    propagate,
+    sample_rate,
+)
 
-from oracles import matmul3, random_rotation, rz
+from oracles import matmul3, random_rotation, rz, skew3
 
 
 def exact_trajectory(omega, t0, tf, h):
@@ -150,6 +157,31 @@ class TestFiniteDifferenceResidual:
         profile = RateProfile.constant((0.0, 0.0, 0.0), 0.0, 1.0)
         with pytest.raises(NonUniformSampling):
             finite_difference_residual(Fake(), profile)
+
+    def test_trajectory_rejects_non_uniform_times_with_the_same_check(self):
+        with pytest.raises(NonUniformSampling) as info:
+            Trajectory(times=np.array([0.0, 0.1, 0.3, 0.4]), matrices=np.array([np.eye(3)] * 4),
+                       method="x", dt=0.1, initial=np.eye(3))
+        assert isinstance(info.value, ValueError)
+
+    @pytest.mark.parametrize("interp", list(Interpolation))
+    @pytest.mark.parametrize("method", list(Method))
+    def test_matches_loop_oracle(self, interp, method):
+        rng = np.random.default_rng(11)
+        knots = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, 15)), [1.0]])
+        profile = RateProfile(knots, 2.0 * rng.normal(size=(17, 3)), interp)
+        traj = propagate(validate_rotation(random_rotation(rng)), profile, 1e-3, method)
+        report = finite_difference_residual(traj, profile)
+        m, h = traj.matrices, traj.dt
+        assert len(report.per_sample) == len(traj) - 2
+        for k, (t, residual) in enumerate(report.per_sample, start=1):
+            rate_term = matmul3(skew3(sample_rate(profile, traj.times[k])), m[k])
+            err = (m[k + 1] - m[k - 1]) / (2.0 * h) - rate_term
+            expected = np.sqrt(sum(x * x for x in err.ravel()))
+            # The residual is a difference of O(|w|) terms, so roundoff is
+            # bounded relative to the rate term, not to the residual itself.
+            assert t == traj.times[k]
+            assert abs(residual - expected) <= 1e-15 * np.linalg.norm(rate_term)
 
 
 class TestEstimateConvergenceOrder:

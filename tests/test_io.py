@@ -3,7 +3,15 @@ import pytest
 
 from so3kin import io as kio
 from so3kin.core import RotationMatrix
-from so3kin.propagator import Interpolation, Method, RateProfile, drift_report, propagate
+from so3kin.propagator import (
+    DriftReport,
+    Interpolation,
+    Method,
+    RateProfile,
+    Trajectory,
+    drift_report,
+    propagate,
+)
 
 
 @pytest.fixture
@@ -59,6 +67,23 @@ def test_trajectory_round_trip_is_bit_identical(tmp_path, profile):
     assert back.method == "euler"
     assert back.dt == traj.dt
     assert back.truncated_span == traj.truncated_span
+
+
+def test_trajectory_rows_are_fmt_of_every_value(tmp_path):
+    m = np.array([[-0.0, 5e-324, 1e300], [-1e300, -5e-324, 0.0], [1.0 / 3.0, -0.0, 1.0]])
+    mats = np.array([m, -m])
+    traj = Trajectory(times=np.array([-0.0, 1e-3]), matrices=mats, method="x", dt=1e-3,
+                      initial=m)
+    drift = DriftReport(per_sample=[(-0.0, 5e-324, -0.0), (1e-3, 1e300, 2.0 ** -1074)],
+                        max_ortho_err=1e300, max_det_err=5e-324)
+    path = tmp_path / "traj.csv"
+    kio.write_trajectory(path, traj, drift)
+    rows = [",".join(kio.fmt(x) for x in (t, *mat.reshape(9), ortho, det))
+            for t, mat, (_, ortho, det) in zip(traj.times, mats, drift.per_sample)]
+    header = path.read_text().splitlines()[:6]
+    assert path.read_bytes() == ("\n".join(header + rows) + "\n").encode()
+    tokens = [tok for line in path.read_text().splitlines()[6:] for tok in line.split(",")]
+    assert "-0" not in tokens and tokens.count("0") == 8
 
 
 def test_matrix_file_round_trip(tmp_path):

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from so3kin.algebra import Axis, elementary_rotation, exp_so3
-from so3kin.core import RotationMatrix, ortho_defect, validate_rotation
+from so3kin.core import (
+    NotOrthogonal,
+    RotationMatrix,
+    So3Error,
+    ToleranceConfig,
+    ortho_defect,
+    validate_rotation,
+)
 from so3kin.differential import finite_difference_residual, geodesic_distance
 from so3kin.propagator import (
     BadStep,
@@ -16,6 +23,7 @@ from so3kin.propagator import (
     drift_report,
     propagate,
     sample_rate,
+    sample_rates,
     step_euler,
     step_euler_renorm,
     step_exponential,
@@ -65,6 +73,22 @@ class TestSampleRate:
             sample_rate(self.two, 1.5)
         with pytest.raises(OutOfRange):
             sample_rate(self.two, -0.5)
+
+    def test_out_of_range_names_t(self):
+        with pytest.raises(OutOfRange, match=r"t = 1\.5 outside profile span \[0\.0, 1\.0\]"):
+            sample_rate(self.two, 1.5)
+        with pytest.raises(OutOfRange, match=r"t = -0\.5 "):
+            sample_rates(self.two, np.array([0.0, 0.5, -0.5, 2.0]))
+
+    @pytest.mark.parametrize("interp", list(Interpolation))
+    def test_batch_equals_scalar(self, interp):
+        # knots, both endpoints, points inside the 1e-9 slack, and midpoints
+        knots = np.array([0.0, 0.1, 0.35, 0.6, 1.0])
+        rng = np.random.default_rng(7)
+        profile = RateProfile(knots, rng.normal(size=(5, 3)), interp)
+        ts = np.concatenate([knots, [-5e-10, 1.0 + 5e-10], rng.uniform(0.0, 1.0, 50)])
+        expected = np.array([sample_rate(profile, float(t)) for t in ts])
+        assert np.array_equal(sample_rates(profile, ts), expected)
 
 
 class TestSteppers:
@@ -213,6 +237,96 @@ class TestPropagate:
         for method in (Method.EULER, Method.EULER_RENORM):
             ratio = errs[(method, 1e-2)] / errs[(method, 5e-3)]
             assert abs(ratio - 2.0) <= 0.3
+
+
+def public_chain(r0, profile, dt, method, sampling, n_steps):
+    """propagate written as a loop over the public sample_rate and step_* calls."""
+    offset = 0.5 * dt if sampling is RateSampling.MIDPOINT else 0.0
+    t0 = profile.span[0]
+    state = r0.matrix if method is Method.EULER else r0
+    mats = [r0.matrix]
+    for k in range(n_steps):
+        w = sample_rate(profile, t0 + k * dt + offset)
+        if method is Method.EXPONENTIAL:
+            state = step_exponential(state, w, dt)
+        elif method is Method.EULER:
+            state = step_euler(state, w, dt)
+        else:
+            state = step_euler_renorm(state, w, dt)
+        mats.append(state if method is Method.EULER else state.matrix)
+    return np.array(mats)
+
+
+class TestPropagateMatchesPublicSteps:
+    rng = np.random.default_rng(12)
+    knots = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, 9)), [1.0]])
+    rates = 3.0 * rng.normal(size=(11, 3))
+
+    @pytest.mark.parametrize("method", list(Method))
+    @pytest.mark.parametrize("interp", list(Interpolation))
+    @pytest.mark.parametrize("sampling", list(RateSampling))
+    def test_bit_identical(self, method, interp, sampling):
+        profile = RateProfile(self.knots, self.rates, interp)
+        r0 = validate_rotation(random_rotation(np.random.default_rng(13)))
+        traj = propagate(r0, profile, 1e-3, method, sampling)
+        assert len(traj) == 1001
+        assert np.array_equal(traj.matrices,
+                              public_chain(r0, profile, 1e-3, method, sampling, 1000))
+
+    @pytest.mark.parametrize("method", list(Method))
+    def test_truncated_span(self, method):
+        profile = RateProfile(np.array([0.0, 0.4, 1.05]), self.rates[:3])
+        traj = propagate(RotationMatrix.identity(), profile, 0.1, method)
+        assert traj.truncated_span and len(traj) == 11
+        assert np.array_equal(traj.matrices, public_chain(
+            RotationMatrix.identity(), profile, 0.1, method, RateSampling.START, 10))
+
+    @pytest.mark.parametrize("method", list(Method))
+    def test_steps_on_knots_end_on_last_knot(self, method):
+        # every step starts on a knot (zero blend weight) and the grid ends on the last knot
+        knots = np.linspace(0.0, 0.5, 6)
+        profile = RateProfile(knots, self.rates[:6])
+        traj = propagate(RotationMatrix.identity(), profile, 0.1, method)
+        assert not traj.truncated_span and traj.times[-1] == pytest.approx(0.5)
+        assert np.array_equal(traj.matrices, public_chain(
+            RotationMatrix.identity(), profile, 0.1, method, RateSampling.START, 5))
+
+
+def first_public_failure(r0, profile, dt, n_steps):
+    """Message prefix and error type of the first check the step-by-step
+    public path fails: step k checks exp_so3 of its increment, then the
+    sample k + 1 it produces."""
+    state = r0
+    for k in range(n_steps):
+        try:
+            inc = exp_so3(dt * sample_rate(profile, k * dt), r0.tol)
+        except So3Error as exc:
+            return f"increment of step {k} (t = {k * dt}): ", type(exc)
+        try:
+            state = RotationMatrix(inc.matrix @ state.matrix, r0.tol)
+        except So3Error as exc:
+            return f"sample {k + 1} (t = {(k + 1) * dt}): ", type(exc)
+    return None
+
+
+class TestPropagateValidation:
+    @pytest.mark.parametrize("ortho_tol,where", [(1e-15, "sample"), (1e-17, "increment")])
+    def test_tight_tolerance_names_first_failure(self, ortho_tol, where):
+        ts = np.linspace(0.0, 1.0, 11)
+        ws = np.column_stack([np.sin(3 * ts), np.cos(2 * ts), 0.5 + ts])
+        profile = RateProfile(ts, ws)
+        r0 = RotationMatrix.identity(ToleranceConfig(ortho_tol=ortho_tol))
+        prefix, error = first_public_failure(r0, profile, 1e-3, 1000)
+        assert error is NotOrthogonal and prefix.startswith(where)
+        with pytest.raises(NotOrthogonal) as info:
+            propagate(r0, profile, 1e-3, Method.EXPONENTIAL)
+        assert str(info.value).startswith(prefix)
+
+    def test_euler_is_never_validated(self):
+        tight = ToleranceConfig(ortho_tol=1e-15)
+        profile = RateProfile.constant((0.0, 0.0, 1.0), 0.0, 1.0)
+        traj = propagate(RotationMatrix.identity(tight), profile, 1e-2, Method.EULER)
+        assert drift_report(traj).max_ortho_err > 1e-6
 
 
 class TestDriftReport:
