@@ -48,13 +48,12 @@ def residual_bound(profile: RateProfile, h: float) -> float:
     return RESIDUAL_BOUND_FACTOR * max(1.0, wmax) ** 3 * h * h
 
 
-def _common_flags(parser: argparse.ArgumentParser) -> None:
+def _tolerance_flags(parser: argparse.ArgumentParser) -> None:
+    """Flags of the subcommands that validate a rotation or skew matrix."""
     parser.add_argument("--tol-ortho", type=float, default=1e-9,
                         help="orthogonality tolerance (default 1e-9)")
     parser.add_argument("--tol-det", type=float, default=1e-9,
                         help="determinant tolerance (default 1e-9)")
-    parser.add_argument("--format", choices=("text", "json"), default="text",
-                        help="report/output format (default text)")
 
 
 def _tol(args) -> ToleranceConfig:
@@ -80,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degrees", action="store_true",
                    help="input rates are deg/s; converted on read")
     p.add_argument("--initial", help="initial attitude matrix file (default identity)")
-    _common_flags(p)
+    _tolerance_flags(p)
     p.set_defaults(func=cmd_propagate)
 
     p = sub.add_parser("verify", help="finite-difference check of a trajectory")
@@ -89,35 +88,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strides", default="1,2,4",
                    help="comma-separated subsampling strides (default 1,2,4)")
     p.add_argument("--interp", choices=("linear", "zoh"), default="linear")
-    _common_flags(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("hat", help="skew matrix of a vector")
     p.add_argument("vector", help="comma-separated 'x,y,z'")
-    _common_flags(p)
     p.set_defaults(func=cmd_hat)
 
     p = sub.add_parser("vee", help="vector of a skew matrix")
     p.add_argument("matrix", help="9 comma-separated entries, row-major")
-    _common_flags(p)
+    _tolerance_flags(p)
     p.set_defaults(func=cmd_vee)
 
     p = sub.add_parser("compose", help="fixed-frame composition of two rotations")
     p.add_argument("first", help="matrix file of the rotation applied first")
     p.add_argument("second", help="matrix file of the rotation applied second")
-    _common_flags(p)
+    _tolerance_flags(p)
     p.set_defaults(func=cmd_compose)
 
     p = sub.add_parser("exp", help="exponential map of an axis-angle vector")
     p.add_argument("vector", help="comma-separated 'x,y,z' (radians)")
-    _common_flags(p)
+    _tolerance_flags(p)
     p.set_defaults(func=cmd_exp)
 
     p = sub.add_parser("log", help="logarithm map of a rotation matrix file")
     p.add_argument("matrix", help="matrix file")
-    _common_flags(p)
+    _tolerance_flags(p)
     p.set_defaults(func=cmd_log)
 
+    for p in sub.choices.values():
+        p.add_argument("--format", choices=("text", "json"), default="text",
+                       help="report/output format (default text)")
     return parser
 
 
@@ -128,18 +128,12 @@ def _parse_floats(literal: str, count: int) -> np.ndarray:
     return np.array([float(p) for p in parts])
 
 
-def _emit_matrix(m: np.ndarray, args) -> None:
+def _emit(key: str, values: np.ndarray, args) -> None:
+    """Print a matrix or vector: as {key: values} in JSON, else as CSV rows."""
     if args.format == "json":
-        print(json.dumps({"matrix": [[float(x) for x in row] for row in m]}))
+        print(json.dumps({key: values.tolist()}))
     else:
-        print(kio.format_matrix(m))
-
-
-def _emit_vector(v: np.ndarray, args) -> None:
-    if args.format == "json":
-        print(json.dumps({"vector": [float(x) for x in v]}))
-    else:
-        print(kio.format_vector(v))
+        print(kio.format_matrix(np.atleast_2d(values)))
 
 
 def _emit_reports(reports: list[dict], args) -> None:
@@ -222,13 +216,13 @@ def cmd_verify(args) -> int:
 
 def cmd_hat(args) -> int:
     v = _parse_floats(args.vector, 3)
-    _emit_matrix(hat(v).matrix, args)
+    _emit("matrix", hat(v).matrix, args)
     return 0
 
 
 def cmd_vee(args) -> int:
     m = _parse_floats(args.matrix, 9).reshape(3, 3)
-    _emit_vector(vee(skew_from_matrix(m, _tol(args))), args)
+    _emit("vector", vee(skew_from_matrix(m, _tol(args))), args)
     return 0
 
 
@@ -236,18 +230,18 @@ def cmd_compose(args) -> int:
     tol = _tol(args)
     first = validate_rotation(kio.read_matrix(args.first), tol)
     second = validate_rotation(kio.read_matrix(args.second), tol)
-    _emit_matrix(compose_fixed(first, second).matrix, args)
+    _emit("matrix", compose_fixed(first, second).matrix, args)
     return 0
 
 
 def cmd_exp(args) -> int:
-    _emit_matrix(exp_so3(_parse_floats(args.vector, 3), _tol(args)).matrix, args)
+    _emit("matrix", exp_so3(_parse_floats(args.vector, 3), _tol(args)).matrix, args)
     return 0
 
 
 def cmd_log(args) -> int:
     r = validate_rotation(kio.read_matrix(args.matrix), _tol(args))
-    _emit_vector(log_so3(r), args)
+    _emit("vector", log_so3(r), args)
     return 0
 
 

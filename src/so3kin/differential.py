@@ -41,13 +41,14 @@ class DegenerateInput(So3Error):
 class ResidualReport:
     """Finite-difference residuals of the rate identity over a trajectory.
 
-    per_sample holds (time, Frobenius residual) at each interior sample.
+    per_sample is an (N, 2) array of (time, Frobenius residual) rows, one
+    per interior sample.
     estimated_order is the log-log regression slope of residual vs step
     size; it is None when fewer than two step sizes were measured.
     """
 
     max_residual: float
-    per_sample: list[tuple[float, float]]
+    per_sample: np.ndarray
     step_sizes: list[float]
     estimated_order: Optional[float]
 
@@ -82,7 +83,7 @@ def finite_difference_residual(trajectory, profile) -> ResidualReport:
     rates = skew_matrices(sample_rates(profile, times[1:-1]))
     residuals = row_norms((diff - rates @ mats[1:-1]).reshape(-1, 9))
     return ResidualReport(max_residual=float(residuals.max()),
-                          per_sample=list(zip(times[1:-1].tolist(), residuals.tolist())),
+                          per_sample=np.column_stack([times[1:-1], residuals]),
                           step_sizes=[h], estimated_order=None)
 
 

@@ -31,13 +31,13 @@ __all__ = [
     "write_trajectory",
     "read_matrix",
     "format_matrix",
-    "format_vector",
     "report_dict",
     "format_report_text",
 ]
 
 PROFILE_HEADER = "t,wx,wy,wz"
 TRAJECTORY_HEADER = "t,r11,r12,r13,r21,r22,r23,r31,r32,r33,ortho_err,det_err"
+NUMBER_FORMAT = "%.17g"  # enough digits for any double to round-trip bit-exactly
 
 DEG2RAD = np.pi / 180.0
 
@@ -48,32 +48,36 @@ class ParseError(Exception):
 
 def fmt(x: float) -> str:
     """Serialize a double with enough digits for an exact round trip."""
-    return f"{float(x) + 0.0:.17g}"  # +0.0 normalizes -0.0
+    return NUMBER_FORMAT % (float(x) + 0.0)  # +0.0 normalizes -0.0
 
 
-def _read_rows(path, expected_header: str):
-    """Yield (metadata, rows) from a CSV file, skipping # comments."""
+def format_matrix(table) -> str:
+    """Comma-joined rows of a 2-D table, one per line, each number as fmt writes it."""
+    table = np.asarray(table, dtype=float) + 0.0  # +0.0 normalizes -0.0
+    row = ",".join([NUMBER_FORMAT] * table.shape[1])
+    return "\n".join(row % values for values in map(tuple, table.tolist()))
+
+
+def _read_rows(path, n_cols: int, header: Optional[str] = None):
+    """(metadata, rows) of a CSV of n_cols numbers per line, after the header
+    if one is given (then at least one row is required).  ``# key=value``
+    comments fill metadata.  Errors name ``path:line``."""
     metadata: dict[str, str] = {}
     rows: list[list[float]] = []
-    n_cols = expected_header.count(",") + 1
-    header_seen = False
-    text = Path(path).read_text()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    expect_header = header is not None
+    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
         if line.startswith("#"):
-            body = line.lstrip("#").strip()
-            if "=" in body:
-                key, _, value = body.partition("=")
+            key, eq, value = line.lstrip("#").partition("=")
+            if eq:
                 metadata[key.strip()] = value.strip()
             continue
-        if not header_seen:
-            if line.replace(" ", "") != expected_header:
-                raise ParseError(
-                    f"{path}:{lineno}: expected header '{expected_header}', got '{line}'"
-                )
-            header_seen = True
+        if expect_header:
+            if line.replace(" ", "") != header:
+                raise ParseError(f"{path}:{lineno}: expected header '{header}', got '{line}'")
+            expect_header = False
             continue
         parts = line.split(",")
         if len(parts) != n_cols:
@@ -82,9 +86,9 @@ def _read_rows(path, expected_header: str):
             rows.append([float(p) for p in parts])
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from None
-    if not header_seen:
-        raise ParseError(f"{path}: missing header '{expected_header}'")
-    if not rows:
+    if expect_header:
+        raise ParseError(f"{path}: missing header '{header}'")
+    if header is not None and not rows:
         raise ParseError(f"{path}: no data rows")
     return metadata, np.array(rows)
 
@@ -92,7 +96,7 @@ def _read_rows(path, expected_header: str):
 def read_rate_profile(path, interpolation: Interpolation = Interpolation.LINEAR,
                       degrees: bool = False) -> RateProfile:
     """Read a rate profile CSV; with degrees=True rates are converted deg/s -> rad/s."""
-    _, data = _read_rows(path, PROFILE_HEADER)
+    _, data = _read_rows(path, 4, PROFILE_HEADER)
     omegas = data[:, 1:4]
     if degrees:
         omegas = omegas * DEG2RAD
@@ -103,10 +107,8 @@ def read_rate_profile(path, interpolation: Interpolation = Interpolation.LINEAR,
 
 
 def write_rate_profile(path, profile: RateProfile) -> None:
-    lines = [PROFILE_HEADER]
-    for t, w in zip(profile.times, profile.omegas):
-        lines.append(",".join(fmt(x) for x in (t, *w)))
-    Path(path).write_text("\n".join(lines) + "\n")
+    table = np.column_stack([profile.times, profile.omegas])
+    Path(path).write_text(f"{PROFILE_HEADER}\n{format_matrix(table)}\n")
 
 
 def write_trajectory(path, traj: Trajectory, drift: DriftReport,
@@ -118,19 +120,14 @@ def write_trajectory(path, traj: Trajectory, drift: DriftReport,
         f"# truncated_span={str(traj.truncated_span).lower()}",
         f"# degrees_input={str(degrees_input).lower()}",
         TRAJECTORY_HEADER,
+        format_matrix(np.column_stack([traj.times, traj.matrices.reshape(len(traj), 9),
+                                       np.asarray(drift.per_sample)[:, 1:]])),
     ]
-    n = len(traj)
-    table = np.empty((n, 12))
-    table[:, 0] = traj.times
-    table[:, 1:10] = traj.matrices.reshape(n, 9)
-    table[:, 10:] = np.array(drift.per_sample).reshape(n, 3)[:, 1:]
-    row = ",".join(["%.17g"] * 12)  # fmt's format, applied to a whole row at once
-    lines += [row % values for values in map(tuple, (table + 0.0).tolist())]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def read_trajectory(path) -> Trajectory:
-    metadata, data = _read_rows(path, TRAJECTORY_HEADER)
+    metadata, data = _read_rows(path, 12, TRAJECTORY_HEADER)
     times = data[:, 0]
     mats = data[:, 1:10].reshape(-1, 3, 3)
     if "dt" in metadata:
@@ -142,7 +139,6 @@ def read_trajectory(path) -> Trajectory:
     try:
         return Trajectory(times=times, matrices=mats,
                           method=metadata.get("method", "unknown"), dt=dt,
-                          initial=mats[0],
                           truncated_span=metadata.get("truncated_span", "false") == "true")
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from None
@@ -150,29 +146,10 @@ def read_trajectory(path) -> Trajectory:
 
 def read_matrix(path) -> np.ndarray:
     """Read a 3x3 matrix: three comma-separated rows, # comments allowed."""
-    rows = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise ParseError(f"{path}:{lineno}: expected 3 columns, got {len(parts)}")
-        try:
-            rows.append([float(p) for p in parts])
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}") from None
+    _, rows = _read_rows(path, 3)
     if len(rows) != 3:
         raise ParseError(f"{path}: expected 3 matrix rows, got {len(rows)}")
-    return np.array(rows)
-
-
-def format_matrix(m: np.ndarray) -> str:
-    return "\n".join(",".join(fmt(x) for x in row) for row in np.asarray(m))
-
-
-def format_vector(v: np.ndarray) -> str:
-    return ",".join(fmt(x) for x in np.asarray(v))
+    return rows
 
 
 def report_dict(method: str, dt: float, steps: int, max_ortho_err: float,
@@ -193,9 +170,7 @@ def report_dict(method: str, dt: float, steps: int, max_ortho_err: float,
 
 def format_report_text(report: dict) -> str:
     lines = []
-    for key in ("method", "dt", "steps", "max_ortho_err", "max_det_err",
-                "max_residual", "estimated_order", "truncated_span"):
-        value = report[key]
+    for key, value in report.items():
         if value is None:
             rendered = "n/a"
         elif isinstance(value, bool):

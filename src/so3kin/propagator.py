@@ -147,7 +147,6 @@ class Trajectory:
     matrices: np.ndarray
     method: str
     dt: float
-    initial: np.ndarray
     truncated_span: bool = False
 
     def __post_init__(self):
@@ -161,7 +160,6 @@ class Trajectory:
         mats.flags.writeable = False
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "matrices", mats)
-        object.__setattr__(self, "initial", np.array(self.initial, dtype=float))
 
     def __len__(self) -> int:
         return int(self.times.size)
@@ -174,7 +172,7 @@ class Trajectory:
 class DriftReport:
     """Per-sample departure from SO(3): orthogonality and determinant errors."""
 
-    per_sample: list[tuple[float, float, float]]  # (t, ortho_err, det_err)
+    per_sample: np.ndarray  # (N, 3) rows of (t, ortho_err, det_err)
     max_ortho_err: float
     max_det_err: float
 
@@ -292,7 +290,7 @@ def propagate(r0: RotationMatrix, profile: RateProfile, dt: float, method: Metho
         _check_chain(increments if method is Method.EXPONENTIAL else None, mats, times, r0.tol)
 
     return Trajectory(times=times, matrices=mats, method=method.value, dt=dt,
-                      initial=r0.matrix, truncated_span=truncated)
+                      truncated_span=truncated)
 
 
 def _check_chain(increments, mats, times, tol) -> None:
@@ -316,7 +314,7 @@ def subsample(traj: Trajectory, stride: int) -> Trajectory:
     if stride == 1:
         return traj
     return Trajectory(times=traj.times[::stride], matrices=traj.matrices[::stride],
-                      method=traj.method, dt=traj.dt * stride, initial=traj.initial,
+                      method=traj.method, dt=traj.dt * stride,
                       truncated_span=traj.truncated_span)
 
 
@@ -324,6 +322,6 @@ def drift_report(traj: Trajectory) -> DriftReport:
     """Measure orthogonality and determinant drift at every sample."""
     ortho = ortho_defects(traj.matrices)
     det = np.abs(np.linalg.det(traj.matrices) - 1.0)
-    return DriftReport(per_sample=list(zip(traj.times.tolist(), ortho.tolist(), det.tolist())),
+    return DriftReport(per_sample=np.column_stack([traj.times, ortho, det]),
                        max_ortho_err=float(ortho.max()),
                        max_det_err=float(det.max()))

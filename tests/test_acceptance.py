@@ -54,7 +54,7 @@ def exact_trajectory(omega, t0, tf, h):
     n = int(round((tf - t0) / h))
     times = t0 + h * np.arange(n + 1)
     mats = np.array([exp_so3(t * np.asarray(omega)).matrix for t in times])
-    return Trajectory(times=times, matrices=mats, method="exact", dt=h, initial=mats[0])
+    return Trajectory(times=times, matrices=mats, method="exact", dt=h)
 
 
 def test_criterion_1_order_independence_and_first_order_accuracy():

@@ -133,6 +133,18 @@ class TestVerifyCommand:
         assert "uniform" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [
+    ["verify", "--trajectory", "t.csv", "--profile", "w.csv"],
+    ["hat", "1,2,3"],
+])
+@pytest.mark.parametrize("flag", ["--tol-ortho", "--tol-det"])
+def test_tolerance_flags_are_usage_errors_where_unused(args, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(args + [flag, "1e-3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestMatrixCommands:
     def test_hat(self, capsys):
         assert run(["hat", "1,2,3"]) == 0
@@ -148,6 +160,15 @@ class TestMatrixCommands:
     def test_vee_inverts_hat(self, capsys):
         assert run(["vee", "0,-3,2,3,0,-1,-2,1,0"]) == 0
         assert capsys.readouterr().out == "1,2,3\n"
+
+    def test_hat_json(self, capsys):
+        assert run(["hat", "1,2,3", "--format", "json"]) == 0
+        assert capsys.readouterr().out == (
+            '{"matrix": [[0.0, -3.0, 2.0], [3.0, 0.0, -1.0], [-2.0, 1.0, 0.0]]}\n')
+
+    def test_vee_json(self, capsys):
+        assert run(["vee", "0,-3,2,3,0,-1,-2,1,0", "--format", "json"]) == 0
+        assert capsys.readouterr().out == '{"vector": [1.0, 2.0, 3.0]}\n'
 
     def test_vee_rejects_non_skew(self, capsys):
         assert run(["vee", "1,0,0,0,1,0,0,0,1"]) == 1

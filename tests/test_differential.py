@@ -30,7 +30,7 @@ def exact_trajectory(omega, t0, tf, h):
     n = int(round((tf - t0) / h))
     times = t0 + h * np.arange(n + 1)
     mats = np.array([exp_so3(t * np.asarray(omega)).matrix for t in times])
-    return Trajectory(times=times, matrices=mats, method="exact", dt=h, initial=mats[0])
+    return Trajectory(times=times, matrices=mats, method="exact", dt=h)
 
 
 class TestDifferentialIncrement:
@@ -111,10 +111,19 @@ class TestFiniteDifferenceResidual:
         assert report.step_sizes == [pytest.approx(h)]
         assert len(report.per_sample) == len(traj) - 2
 
+    def test_per_sample_is_an_array_of_time_residual_rows(self):
+        traj = exact_trajectory((0.0, 0.0, 1.0), 0.0, 1.0, 1e-2)
+        profile = RateProfile.constant((0.0, 0.0, 1.0), 0.0, 1.0)
+        report = residual_order_report(traj, profile)
+        assert isinstance(report.per_sample, np.ndarray)
+        assert report.per_sample.shape == (len(traj) - 2, 2)
+        assert np.array_equal(report.per_sample[:, 0], traj.times[1:-1])
+        assert report.max_residual == report.per_sample[:, 1].max()
+
     def test_constant_trajectory_zero_residual(self):
         times = np.linspace(0.0, 1.0, 11)
         mats = np.array([np.eye(3)] * 11)
-        traj = Trajectory(times=times, matrices=mats, method="const", dt=0.1, initial=np.eye(3))
+        traj = Trajectory(times=times, matrices=mats, method="const", dt=0.1)
         profile = RateProfile.constant((0.0, 0.0, 0.0), 0.0, 1.0)
         report = finite_difference_residual(traj, profile)
         assert report.max_residual == 0.0
@@ -135,7 +144,7 @@ class TestFiniteDifferenceResidual:
         profile = RateProfile.constant((0.0, 0.0, 1.0), 0.0, 1.0)
         traj = exact_trajectory((0.0, 0.0, 1.0), 0.0, 1.0, 1e-2)
         shifted = Trajectory(times=traj.times, matrices=traj.matrices @ q,
-                             method="exact", dt=traj.dt, initial=traj.matrices[0] @ q)
+                             method="exact", dt=traj.dt)
         a = finite_difference_residual(traj, profile)
         b = finite_difference_residual(shifted, profile)
         for (_, ra), (_, rb) in zip(a.per_sample, b.per_sample):
@@ -144,7 +153,7 @@ class TestFiniteDifferenceResidual:
     def test_too_few_samples(self):
         times = np.array([0.0, 1.0])
         mats = np.array([np.eye(3), np.eye(3)])
-        traj = Trajectory(times=times, matrices=mats, method="x", dt=1.0, initial=np.eye(3))
+        traj = Trajectory(times=times, matrices=mats, method="x", dt=1.0)
         profile = RateProfile.constant((0.0, 0.0, 0.0), 0.0, 1.0)
         with pytest.raises(TooFewSamples):
             finite_difference_residual(traj, profile)
@@ -161,7 +170,7 @@ class TestFiniteDifferenceResidual:
     def test_trajectory_rejects_non_uniform_times_with_the_same_check(self):
         with pytest.raises(NonUniformSampling) as info:
             Trajectory(times=np.array([0.0, 0.1, 0.3, 0.4]), matrices=np.array([np.eye(3)] * 4),
-                       method="x", dt=0.1, initial=np.eye(3))
+                       method="x", dt=0.1)
         assert isinstance(info.value, ValueError)
 
     @pytest.mark.parametrize("interp", list(Interpolation))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,28 @@ def test_profile_bad_column_count(tmp_path):
         kio.read_rate_profile(path)
 
 
+@pytest.mark.parametrize("reader,header", [
+    (kio.read_rate_profile, kio.PROFILE_HEADER),
+    (kio.read_trajectory, kio.TRAJECTORY_HEADER),
+])
+def test_header_only_file_has_no_data_rows(tmp_path, reader, header):
+    path = tmp_path / "f.csv"
+    path.write_text(f"# method=exp\n{header}\n\n# done\n")
+    with pytest.raises(kio.ParseError, match="no data rows"):
+        reader(path)
+
+
+def test_profile_bytes_are_fmt_of_every_value(tmp_path):
+    ws = np.array([[-0.0, 5e-324, 1e300], [-1e300, -5e-324, 0.0], [1.0 / 3.0, -0.0, 1.0]])
+    profile = RateProfile(np.array([-0.0, 5e-324, 1e300]), ws)
+    path = tmp_path / "w.csv"
+    kio.write_rate_profile(path, profile)
+    rows = [",".join(kio.fmt(x) for x in (t, *w)) for t, w in zip(profile.times, ws)]
+    assert path.read_bytes() == ("\n".join([kio.PROFILE_HEADER] + rows) + "\n").encode()
+    tokens = [tok for line in rows for tok in line.split(",")]
+    assert "-0" not in tokens and tokens.count("0") == 4
+
+
 def test_trajectory_round_trip_is_bit_identical(tmp_path, profile):
     traj = propagate(RotationMatrix.identity(), profile, 0.01, Method.EULER)
     path = tmp_path / "traj.csv"
@@ -72,8 +96,7 @@ def test_trajectory_round_trip_is_bit_identical(tmp_path, profile):
 def test_trajectory_rows_are_fmt_of_every_value(tmp_path):
     m = np.array([[-0.0, 5e-324, 1e300], [-1e300, -5e-324, 0.0], [1.0 / 3.0, -0.0, 1.0]])
     mats = np.array([m, -m])
-    traj = Trajectory(times=np.array([-0.0, 1e-3]), matrices=mats, method="x", dt=1e-3,
-                      initial=m)
+    traj = Trajectory(times=np.array([-0.0, 1e-3]), matrices=mats, method="x", dt=1e-3)
     drift = DriftReport(per_sample=[(-0.0, 5e-324, -0.0), (1e-3, 1e300, 2.0 ** -1074)],
                         max_ortho_err=1e300, max_det_err=5e-324)
     path = tmp_path / "traj.csv"
@@ -97,6 +120,19 @@ def test_matrix_file_wrong_shape(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("1,0,0\n0,1,0\n")
     with pytest.raises(kio.ParseError):
+        kio.read_matrix(path)
+
+
+def test_matrix_file_skips_key_value_comments(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("# source=test\n0,-1,0\n# rows=3\n1,0,0\n\n0,0,1\n")
+    assert np.array_equal(kio.read_matrix(path), [[0, -1, 0], [1, 0, 0], [0, 0, 1]])
+
+
+def test_matrix_file_bad_token_names_path_and_line(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("1,0,0\n# k=v\n0,x,0\n0,0,1\n")
+    with pytest.raises(kio.ParseError, match="^" + re.escape(f"{path}:3: ")):
         kio.read_matrix(path)
 
 

@@ -333,7 +333,7 @@ class TestDriftReport:
     def test_exact_rotations_have_tiny_drift(self):
         times = np.linspace(0.0, 1.0, 11)
         mats = np.array([exp_so3(t * np.array([0.0, 0.0, 1.0])).matrix for t in times])
-        traj = Trajectory(times=times, matrices=mats, method="exact", dt=0.1, initial=mats[0])
+        traj = Trajectory(times=times, matrices=mats, method="exact", dt=0.1)
         drift = drift_report(traj)
         assert drift.max_ortho_err <= 1e-12
         assert drift.max_det_err <= 1e-12
@@ -342,7 +342,7 @@ class TestDriftReport:
         m = np.eye(3)
         m[0, 0] = 1.0 + 1e-6
         traj = Trajectory(times=np.array([0.0]), matrices=np.array([m]), method="x",
-                          dt=1.0, initial=m)
+                          dt=1.0)
         drift = drift_report(traj)
         # ||R^T R - I||_F for a single scaled diagonal entry is ~2e-6
         assert drift.max_ortho_err == pytest.approx(2e-6, rel=1e-3)
@@ -353,6 +353,17 @@ class TestDriftReport:
         drift = drift_report(traj)
         assert drift.max_ortho_err == max(p[1] for p in drift.per_sample)
         assert drift.max_det_err == max(p[2] for p in drift.per_sample)
+
+    def test_per_sample_is_an_array_of_per_matrix_errors(self):
+        profile = RateProfile.constant((0.3, -0.2, 1.0), 0.0, 1.0)
+        traj = propagate(RotationMatrix.identity(), profile, 0.05, Method.EULER)
+        drift = drift_report(traj)
+        assert isinstance(drift.per_sample, np.ndarray)
+        assert drift.per_sample.shape == (len(traj), 3)
+        for (t, ortho, det), time, m in zip(drift.per_sample, traj.times, traj.matrices):
+            assert t == time
+            assert ortho == ortho_defect(m)
+            assert det == abs(np.linalg.det(m) - 1.0)
 
 
 class TestSubsample:
