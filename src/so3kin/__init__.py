@@ -9,7 +9,6 @@ from .core import (
     DEFAULT_TOL,
     DegenerateFrame,
     Frame,
-    NoConvergence,
     NonFinite,
     NotOrthogonal,
     NotProjectable,

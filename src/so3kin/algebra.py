@@ -141,10 +141,12 @@ def log_so3(r: RotationMatrix) -> np.ndarray:
     first nonzero component among (x, y, z) is positive.
     """
     m = r.matrix
-    cos_theta = np.clip((np.trace(m) - 1.0) / 2.0, -1.0, 1.0)
-    theta = float(np.arccos(cos_theta))
     # (m - m^T)/2 = sin(theta) * hat(axis)
     w = np.array([m[2, 1] - m[1, 2], m[0, 2] - m[2, 0], m[1, 0] - m[0, 1]]) / 2.0
+    sin_theta = float(np.linalg.norm(w))
+    cos_theta = np.clip((np.trace(m) - 1.0) / 2.0, -1.0, 1.0)
+    # atan2 keeps the angle accurate near 0 and pi, where arccos is ill-conditioned.
+    theta = float(np.arctan2(sin_theta, cos_theta))
 
     if theta < 1e-7:
         # phi = theta * axis = w * (theta / sin theta); correction is O(theta^3)
@@ -156,7 +158,7 @@ def log_so3(r: RotationMatrix) -> np.ndarray:
     outer = ((m + m.T) / 2.0 - cos_theta * np.eye(3)) / (1.0 - cos_theta)
     k = int(np.argmax(np.diag(outer)))
     axis = outer[:, k] / np.sqrt(outer[k, k])
-    if np.linalg.norm(w) > 1e-12:
+    if sin_theta > 1e-12:
         if float(axis @ w) < 0.0:
             axis = -axis
     else:

@@ -32,16 +32,6 @@ from .propagator import (
 RESIDUAL_BOUND_FACTOR = 10.0
 MIN_ACCEPTED_ORDER = 1.8
 
-_METHODS = {
-    "exp": Method.EXPONENTIAL,
-    "euler": Method.EULER,
-    "euler-renorm": Method.EULER_RENORM,
-}
-_INTERPOLATIONS = {
-    "linear": Interpolation.LINEAR,
-    "zoh": Interpolation.ZERO_ORDER_HOLD,
-}
-
 
 def residual_bound(profile: RateProfile, h: float) -> float:
     wmax = float(np.max(np.linalg.norm(profile.omegas, axis=1)))
@@ -153,7 +143,7 @@ def cmd_propagate(args) -> int:
         print(f"error: --dt must be positive, got {args.dt}", file=sys.stderr)
         return 1
     tol = _tol(args)
-    profile = kio.read_rate_profile(args.input, _INTERPOLATIONS[args.interp],
+    profile = kio.read_rate_profile(args.input, Interpolation(args.interp),
                                     degrees=args.degrees)
     if args.initial:
         r0 = validate_rotation(kio.read_matrix(args.initial), tol)
@@ -161,9 +151,9 @@ def cmd_propagate(args) -> int:
         r0 = validate_rotation(np.eye(3), tol)
 
     if args.method == "all":
-        methods = sorted(_METHODS.values(), key=lambda m: m.value)
+        methods = sorted(Method, key=lambda m: m.value)
     else:
-        methods = [_METHODS[args.method]]
+        methods = [Method(args.method.replace("-", "_"))]
 
     sampling = RateSampling(args.rate_sampling)
     runs = []
@@ -186,7 +176,7 @@ def cmd_propagate(args) -> int:
 
 def cmd_verify(args) -> int:
     traj = kio.read_trajectory(args.trajectory)
-    profile = kio.read_rate_profile(args.profile, _INTERPOLATIONS[args.interp])
+    profile = kio.read_rate_profile(args.profile, Interpolation(args.interp))
     strides = [int(s) for s in args.strides.split(",") if s.strip()]
     if not strides or any(s < 1 for s in strides):
         print(f"error: bad --strides '{args.strides}'", file=sys.stderr)

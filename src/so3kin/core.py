@@ -23,7 +23,6 @@ __all__ = [
     "NotProperRotation",
     "NotSkewSymmetric",
     "NotProjectable",
-    "NoConvergence",
     "DegenerateFrame",
     "ToleranceConfig",
     "DEFAULT_TOL",
@@ -65,11 +64,7 @@ class NotSkewSymmetric(So3Error):
 
 
 class NotProjectable(So3Error):
-    """Matrix has nonpositive determinant or is singular; no nearest rotation."""
-
-
-class NoConvergence(So3Error):
-    """Iterative projection failed to converge within the iteration cap."""
+    """Matrix has nonpositive determinant; no nearest proper rotation."""
 
 
 class DegenerateFrame(So3Error):
@@ -274,40 +269,23 @@ def validate_rotation(m, tol: ToleranceConfig = DEFAULT_TOL) -> RotationMatrix:
     return RotationMatrix(m, tol)
 
 
-_PROJECTION_STOP = 1e-15
-_PROJECTION_MAX_ITER = 100
-
-
 def project_to_so3(m, tol: ToleranceConfig = DEFAULT_TOL) -> RotationMatrix:
-    """Nearest rotation in Frobenius norm via the polar Newton iteration.
+    """Nearest rotation in Frobenius norm: the orthogonal polar factor.
 
-    Iterates X <- (X + X^-T)/2 until successive iterates differ by at most
-    1e-15 in Frobenius norm.  Requires det(m) > 0 so the orthogonal polar
-    factor is a proper rotation.
+    Requires det(m) > 0 so the orthogonal polar factor is a proper
+    rotation.
     """
-    return RotationMatrix(polar_factor(np.array(as_mat3(m))), tol)
+    return RotationMatrix(polar_factor(as_mat3(m)), tol)
 
 
 def polar_factor(x: np.ndarray) -> np.ndarray:
-    """The polar Newton iteration of project_to_so3 on a finite 3x3 array,
-    without the final SO(3) check.
+    """The orthogonal polar factor U V^T of a finite 3x3 array's SVD
+    x = U S V^T, without the final SO(3) check.
 
-    Raises NotProjectable for det <= 0 or a singular iterate and
-    NoConvergence past the iteration cap.
+    Raises NotProjectable for det <= 0.
     """
     det = float(np.linalg.det(x))
     if det <= 0.0:
         raise NotProjectable(f"det = {det:.3e} is not positive; no nearest rotation")
-    for _ in range(_PROJECTION_MAX_ITER):
-        try:
-            inv_t = np.linalg.inv(x).T
-        except np.linalg.LinAlgError:
-            raise NotProjectable("matrix became singular during projection") from None
-        nxt = 0.5 * (x + inv_t)
-        delta = float(np.linalg.norm(nxt - x))
-        x = nxt
-        if delta <= _PROJECTION_STOP:
-            return x
-    raise NoConvergence(
-        f"polar iteration did not converge in {_PROJECTION_MAX_ITER} iterations"
-    )
+    u, _, vt = np.linalg.svd(x)
+    return u @ vt

@@ -128,6 +128,7 @@ def write_trajectory(path, traj: Trajectory, drift: DriftReport,
 
 def read_trajectory(path) -> Trajectory:
     metadata, data = _read_rows(path, 12, TRAJECTORY_HEADER)
+    data.flags.writeable = False  # the Trajectory holds its columns without a copy
     times = data[:, 0]
     mats = data[:, 1:10].reshape(-1, 3, 3)
     if "dt" in metadata:

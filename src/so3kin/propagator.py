@@ -150,14 +150,12 @@ class Trajectory:
     truncated_span: bool = False
 
     def __post_init__(self):
-        times = np.array(self.times, dtype=float).reshape(-1)
-        mats = np.array(self.matrices, dtype=float)
+        times = _read_only(np.asarray(self.times, dtype=float).reshape(-1))
+        mats = _read_only(np.asarray(self.matrices, dtype=float))
         if times.size == 0 or mats.shape != (times.size, 3, 3):
             raise ValueError(f"matrices shape {mats.shape} does not match {times.size} samples")
         if times.size > 1:
             uniform_step(times)
-        times.flags.writeable = False
-        mats.flags.writeable = False
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "matrices", mats)
 
@@ -166,6 +164,15 @@ class Trajectory:
 
     def final(self) -> np.ndarray:
         return self.matrices[-1]
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """arr itself if it is read-only, else a read-only copy: an array is
+    held once, and no caller can write to it afterwards."""
+    if arr.flags.writeable:
+        arr = arr.copy()
+        arr.flags.writeable = False
+    return arr
 
 
 @dataclass(frozen=True)
@@ -289,6 +296,8 @@ def propagate(r0: RotationMatrix, profile: RateProfile, dt: float, method: Metho
     if method is not Method.EULER:
         _check_chain(increments if method is Method.EXPONENTIAL else None, mats, times, r0.tol)
 
+    times.flags.writeable = False
+    mats.flags.writeable = False
     return Trajectory(times=times, matrices=mats, method=method.value, dt=dt,
                       truncated_span=truncated)
 

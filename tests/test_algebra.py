@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from so3kin.algebra import (
@@ -256,3 +256,16 @@ class TestExpLog:
             phi *= (np.pi - 1e-5) / np.linalg.norm(phi)
             back = log_so3(exp_so3(phi))
             assert np.linalg.norm(exp_so3(back).matrix - exp_so3(phi).matrix) <= 1e-9
+
+    @given(offset_exp=st.floats(min_value=-9.0, max_value=-3.0),
+           near_pi=st.booleans(),
+           axis=st.tuples(*[st.floats(min_value=-1.0, max_value=1.0)] * 3))
+    def test_angle_accurate_near_zero_and_pi(self, offset_exp, near_pi, axis):
+        axis = np.array(axis)
+        assume(np.linalg.norm(axis) > 1e-3)
+        offset = 10.0 ** offset_exp
+        angle = np.pi - offset if near_pi else offset
+        phi = angle * axis / np.linalg.norm(axis)
+        r = validate_rotation(series_exp(hat(phi).matrix))
+        assert abs(np.linalg.norm(log_so3(r)) - angle) <= 1e-12
+

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from so3kin.core import (
@@ -134,6 +134,22 @@ class TestProjectToSo3:
                 continue
             p = project_to_so3(m)
             assert np.linalg.norm(p.matrix - svd_project(m)) <= 1e-12
+
+    @given(entries=st.lists(finite_component, min_size=9, max_size=9))
+    def test_defining_condition_of_polar_factor(self, entries):
+        # P is the polar factor of m exactly when P^T m is symmetric
+        # positive definite; checked without any factorization.
+        m = np.array(entries).reshape(3, 3)
+        size = np.linalg.norm(m)
+        assume(np.linalg.det(m) > 1e-6 * size ** 3)
+        p = project_to_so3(m).matrix
+        h = p.T @ m
+        assert np.linalg.norm(h - h.T) <= 1e-12 * size
+        assert np.all(np.linalg.eigvalsh(0.5 * (h + h.T)) > 0.0)
+
+    def test_tiny_singular_value(self):
+        p = project_to_so3(np.diag([1e-300, 1.0, 1.0]))
+        assert np.array_equal(p.matrix, np.eye(3))
 
     def test_negative_determinant_rejected(self):
         with pytest.raises(NotProjectable):

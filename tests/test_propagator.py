@@ -374,3 +374,33 @@ class TestSubsample:
         assert half.dt == pytest.approx(0.2)
         assert np.array_equal(half.times, traj.times[::2])
         assert np.array_equal(half.matrices, traj.matrices[::2])
+
+    def test_shares_the_parent_arrays(self):
+        profile = RateProfile.constant((0.0, 0.0, 1.0), 0.0, 1.0)
+        traj = propagate(RotationMatrix.identity(), profile, 0.1, Method.EXPONENTIAL)
+        half = subsample(traj, 2)
+        assert np.shares_memory(half.times, traj.times)
+        assert np.shares_memory(half.matrices, traj.matrices)
+
+
+class TestTrajectory:
+    def test_copies_writable_input_and_is_read_only(self):
+        times = np.arange(4) * 0.1
+        mats = np.tile(np.eye(3), (4, 1, 1))
+        traj = Trajectory(times, mats, "exp", 0.1)
+        assert not np.shares_memory(traj.times, times)
+        assert not np.shares_memory(traj.matrices, mats)
+        assert not traj.times.flags.writeable
+        assert not traj.matrices.flags.writeable
+        mats[0, 0, 0] = 2.0
+        assert traj.matrices[0, 0, 0] == 1.0
+
+    def test_holds_read_only_input_without_copy(self):
+        times = np.arange(4) * 0.1
+        mats = np.tile(np.eye(3), (4, 1, 1))
+        times.flags.writeable = False
+        mats.flags.writeable = False
+        traj = Trajectory(times, mats, "exp", 0.1)
+        assert np.shares_memory(traj.times, times)
+        assert np.shares_memory(traj.matrices, mats)
+
