@@ -14,7 +14,6 @@ from .core import (
     DEFAULT_TOL,
     Frame,
     NonFinite,
-    NotProperRotation,
     RotationMatrix,
     SkewMatrix,
     ToleranceConfig,
@@ -36,6 +35,10 @@ __all__ = [
     "exp_matrices",
     "log_so3",
 ]
+
+
+_SMALL_ANGLE = 1e-7  # radians below which exp and log use their Taylor expansions
+_LOG_NEAR_PI = 1e-3  # radians from pi below which the symmetric-part branch is used
 
 
 class Axis(enum.Enum):
@@ -78,12 +81,10 @@ def rotation_from_frames(target: Frame, reference: Frame, tol: ToleranceConfig =
 
     Entry (r, c) is the dot product of the c-th basis vector of the target
     frame with the r-th basis vector of the reference frame, so each column
-    is a target basis vector expressed in reference coordinates.
+    is a target basis vector expressed in reference coordinates.  Frames
+    of opposite handedness give det < 0: NotProperRotation.
     """
-    m = reference.basis.T @ target.basis
-    if float(np.linalg.det(m)) < 0.0:
-        raise NotProperRotation("frames differ in handedness (det < 0)")
-    return RotationMatrix(m, tol)
+    return RotationMatrix(reference.basis.T @ target.basis, tol)
 
 
 def compose_fixed(first: RotationMatrix, second: RotationMatrix) -> RotationMatrix:
@@ -112,26 +113,23 @@ def exp_so3(phi, tol: ToleranceConfig = DEFAULT_TOL) -> RotationMatrix:
     """Exponential map (Rodrigues formula) from an axis-angle vector.
 
     R = I + a * hat(phi) + b * hat(phi)^2 with a = sin(t)/t and
-    b = (1 - cos(t))/t^2, t = ||phi||.  Below small_angle_tol the
-    coefficients switch to their second-order Taylor expansions to avoid
-    cancellation.
+    b = (1 - cos(t))/t^2, t = ||phi||, or their Taylor expansions below
+    _SMALL_ANGLE, as in log_so3.  R must pass the membership test of tol:
+    ||R^T R - I||_F <= tol.ortho_tol and det R > 0.
     """
-    return RotationMatrix(exp_matrices(as_vec3(phi), tol.small_angle_tol), tol)
+    return RotationMatrix(exp_matrices(as_vec3(phi)), tol)
 
 
-def exp_matrices(phis: np.ndarray, small_angle_tol: float) -> np.ndarray:
+def exp_matrices(phis: np.ndarray) -> np.ndarray:
     """The Rodrigues formula of exp_so3 over (..., 3) finite axis-angle
     vectors, giving (..., 3, 3) matrices without the SO(3) check."""
     theta = row_norms(phis)[..., None, None]
     t2 = theta * theta
     with np.errstate(invalid="ignore", divide="ignore"):
-        a = np.where(theta < small_angle_tol, 1.0 - t2 / 6.0, np.sin(theta) / theta)
-        b = np.where(theta < small_angle_tol, 0.5 - t2 / 24.0, (1.0 - np.cos(theta)) / t2)
+        a = np.where(theta < _SMALL_ANGLE, 1.0 - t2 / 6.0, np.sin(theta) / theta)
+        b = np.where(theta < _SMALL_ANGLE, 0.5 - t2 / 24.0, (1.0 - np.cos(theta)) / t2)
     s = skew_matrices(phis)
     return np.eye(3) + a * s + b * (s @ s)
-
-
-_LOG_NEAR_PI = 1e-3  # radians from pi below which the symmetric-part branch is used
 
 
 def log_so3(r: RotationMatrix) -> np.ndarray:
@@ -148,7 +146,7 @@ def log_so3(r: RotationMatrix) -> np.ndarray:
     # atan2 keeps the angle accurate near 0 and pi, where arccos is ill-conditioned.
     theta = float(np.arctan2(sin_theta, cos_theta))
 
-    if theta < 1e-7:
+    if theta < _SMALL_ANGLE:
         # phi = theta * axis = w * (theta / sin theta); correction is O(theta^3)
         return w
     if theta < np.pi - _LOG_NEAR_PI:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -42,12 +43,10 @@ def _tolerance_flags(parser: argparse.ArgumentParser) -> None:
     """Flags of the subcommands that validate a rotation or skew matrix."""
     parser.add_argument("--tol-ortho", type=float, default=1e-9,
                         help="orthogonality tolerance (default 1e-9)")
-    parser.add_argument("--tol-det", type=float, default=1e-9,
-                        help="determinant tolerance (default 1e-9)")
 
 
 def _tol(args) -> ToleranceConfig:
-    return ToleranceConfig(ortho_tol=args.tol_ortho, det_tol=args.tol_det)
+    return ToleranceConfig(ortho_tol=args.tol_ortho)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -158,14 +157,15 @@ def cmd_propagate(args) -> int:
     sampling = RateSampling(args.rate_sampling)
     runs = []
     for method in methods:  # all methods run before any file is written
-        traj = propagate(r0, profile, args.dt, method, sampling)
+        traj = replace(propagate(r0, profile, args.dt, method, sampling),
+                       degrees_input=args.degrees)
         runs.append((method, traj, drift_report(traj)))
 
     reports = []
     for method, traj, drift in runs:
         out = _method_output_path(args.output, method) if len(methods) > 1 \
             else Path(args.output)
-        kio.write_trajectory(out, traj, drift, degrees_input=args.degrees)
+        kio.write_trajectory(out, traj, drift)
         reports.append(kio.report_dict(
             method=method.value, dt=args.dt, steps=len(traj) - 1,
             max_ortho_err=drift.max_ortho_err, max_det_err=drift.max_det_err,
@@ -176,7 +176,8 @@ def cmd_propagate(args) -> int:
 
 def cmd_verify(args) -> int:
     traj = kio.read_trajectory(args.trajectory)
-    profile = kio.read_rate_profile(args.profile, Interpolation(args.interp))
+    profile = kio.read_rate_profile(args.profile, Interpolation(args.interp),
+                                    degrees=traj.degrees_input)
     strides = [int(s) for s in args.strides.split(",") if s.strip()]
     if not strides or any(s < 1 for s in strides):
         print(f"error: bad --strides '{args.strides}'", file=sys.stderr)
@@ -197,9 +198,11 @@ def cmd_verify(args) -> int:
           and report.estimated_order >= MIN_ACCEPTED_ORDER
           and report.max_residual <= bound)
     if not ok:
+        k = int(np.argmax(report.per_sample[:, 1]))  # sample k + 1 of the finest grid
         print(f"verification failed: max_residual={report.max_residual:.3e} "
-              f"(bound {bound:.3e}), estimated_order={report.estimated_order}",
-              file=sys.stderr)
+              f"(bound {bound:.3e}), estimated_order={report.estimated_order}; "
+              f"worst at sample {min(strides) * (k + 1)} "
+              f"(t = {float(report.per_sample[k, 0])})", file=sys.stderr)
         return 1
     return 0
 

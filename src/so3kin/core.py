@@ -56,7 +56,7 @@ class NotOrthogonal(So3Error):
 
 
 class NotProperRotation(So3Error):
-    """Matrix is orthogonal but has determinant != +1 (e.g. a reflection)."""
+    """Matrix is orthogonal but has det <= 0: a reflection, det near -1."""
 
 
 class NotSkewSymmetric(So3Error):
@@ -115,17 +115,16 @@ def ortho_defect(m: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """Numeric tolerances for SO(3) membership and small-angle switching."""
+    """SO(3) membership: M is a rotation when it is finite,
+    ||M^T M - I||_F <= ortho_tol and det M > 0.  Orthogonality gives
+    |det M - 1| <= (sqrt(3)/2) * ortho_tol to first order, so the sign of
+    det alone tells a rotation from a reflection."""
 
     ortho_tol: float = 1e-9
-    det_tol: float = 1e-9
-    small_angle_tol: float = 1e-7  # radians
 
     def __post_init__(self):
-        for name in ("ortho_tol", "det_tol", "small_angle_tol"):
-            value = getattr(self, name)
-            if not (0.0 < value < 1e-2):
-                raise ValueError(f"{name} must be in (0, 1e-2), got {value}")
+        if not (0.0 < self.ortho_tol < 1e-2):
+            raise ValueError(f"ortho_tol must be in (0, 1e-2), got {self.ortho_tol}")
 
 
 DEFAULT_TOL = ToleranceConfig()
@@ -136,14 +135,13 @@ def first_non_rotation(mats: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL):
 
     Returns (index, error) for the lowest failing index, the error being
     the one that matrix alone would raise: NonFinite, NotOrthogonal or
-    NotProperRotation, checked in that order.  The caller raises it.
+    NotProperRotation (det <= 0), in that order.  The caller raises it.
     """
     finite = np.isfinite(mats).all(axis=(1, 2))
     with np.errstate(invalid="ignore", over="ignore"):
         defects = ortho_defects(mats)
         dets = np.linalg.det(mats)
-    det_errs = np.abs(dets - 1.0)
-    bad = ~finite | (defects > tol.ortho_tol) | (det_errs > tol.det_tol)
+    bad = ~finite | (defects > tol.ortho_tol) | (dets <= 0.0)
     if not bad.any():
         return None
     i = int(np.argmax(bad))
@@ -152,9 +150,7 @@ def first_non_rotation(mats: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL):
     if defects[i] > tol.ortho_tol:
         return i, NotOrthogonal(
             f"||M^T M - I||_F = {defects[i]:.3e} exceeds ortho_tol = {tol.ortho_tol:.3e}")
-    return i, NotProperRotation(
-        f"|det - 1| = {det_errs[i]:.3e} exceeds det_tol = {tol.det_tol:.3e}"
-        f" (det = {dets[i]:.6f})")
+    return i, NotProperRotation(f"det = {dets[i]:.6f} is not positive: a reflection")
 
 
 @dataclass(frozen=True)
@@ -162,7 +158,7 @@ class RotationMatrix:
     """A validated element of SO(3).
 
     Construction runs the full membership test, so any live instance is a
-    proper rotation under the tolerances it was built with.  The wrapped
+    proper rotation under the tolerance it was built with.  The wrapped
     array is read-only; there is no mutation path.
     """
 
@@ -229,9 +225,8 @@ def skew_from_matrix(m, tol: ToleranceConfig = DEFAULT_TOL) -> SkewMatrix:
 class Frame:
     """A Cartesian frame: three unit basis vectors in a common ambient frame.
 
-    Construction checks unit norms and pairwise orthogonality.  Handedness
-    is checked where a rotation is actually built (rotation_from_frames),
-    which reports a left-handed triad as NotProperRotation.
+    Construction checks unit norms and pairwise orthogonality.  The frame
+    is right-handed when det [i j k] > 0, the sign test of SO(3) membership.
     """
 
     i: np.ndarray
@@ -258,7 +253,7 @@ class Frame:
         return np.column_stack([self.i, self.j, self.k])
 
     def is_right_handed(self) -> bool:
-        return float(np.cross(self.i, self.j) @ self.k) >= 1.0 - self.tol.ortho_tol
+        return float(np.linalg.det(self.basis)) > 0.0
 
 
 def validate_rotation(m, tol: ToleranceConfig = DEFAULT_TOL) -> RotationMatrix:

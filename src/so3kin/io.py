@@ -97,9 +97,11 @@ def read_rate_profile(path, interpolation: Interpolation = Interpolation.LINEAR,
                       degrees: bool = False) -> RateProfile:
     """Read a rate profile CSV; with degrees=True rates are converted deg/s -> rad/s."""
     _, data = _read_rows(path, 4, PROFILE_HEADER)
+    data.flags.writeable = False  # the RateProfile holds its columns without a copy
     omegas = data[:, 1:4]
     if degrees:
         omegas = omegas * DEG2RAD
+        omegas.flags.writeable = False
     try:
         return RateProfile(times=data[:, 0], omegas=omegas, interpolation=interpolation)
     except ValueError as exc:
@@ -111,14 +113,13 @@ def write_rate_profile(path, profile: RateProfile) -> None:
     Path(path).write_text(f"{PROFILE_HEADER}\n{format_matrix(table)}\n")
 
 
-def write_trajectory(path, traj: Trajectory, drift: DriftReport,
-                     degrees_input: bool = False) -> None:
+def write_trajectory(path, traj: Trajectory, drift: DriftReport) -> None:
     lines = [
         "# so3kin trajectory",
         f"# method={traj.method}",
         f"# dt={fmt(traj.dt)}",
         f"# truncated_span={str(traj.truncated_span).lower()}",
-        f"# degrees_input={str(degrees_input).lower()}",
+        f"# degrees_input={str(traj.degrees_input).lower()}",
         TRAJECTORY_HEADER,
         format_matrix(np.column_stack([traj.times, traj.matrices.reshape(len(traj), 9),
                                        np.asarray(drift.per_sample)[:, 1:]])),
@@ -140,7 +141,8 @@ def read_trajectory(path) -> Trajectory:
     try:
         return Trajectory(times=times, matrices=mats,
                           method=metadata.get("method", "unknown"), dt=dt,
-                          truncated_span=metadata.get("truncated_span", "false") == "true")
+                          truncated_span=metadata.get("truncated_span", "false") == "true",
+                          degrees_input=metadata.get("degrees_input", "false") == "true")
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from None
 

@@ -12,7 +12,7 @@ measurement, not an error.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -109,8 +109,8 @@ class RateProfile:
     interpolation: Interpolation = Interpolation.LINEAR
 
     def __post_init__(self):
-        times = np.array(self.times, dtype=float).reshape(-1)
-        omegas = np.array(self.omegas, dtype=float)
+        times = _read_only(np.asarray(self.times, dtype=float).reshape(-1))
+        omegas = _read_only(np.asarray(self.omegas, dtype=float))
         if times.size == 0:
             raise EmptyProfile("rate profile has no samples")
         if omegas.shape != (times.size, 3):
@@ -119,8 +119,6 @@ class RateProfile:
             raise ValueError("rate profile contains non-finite values")
         if times.size > 1 and np.any(np.diff(times) <= 0.0):
             raise ValueError("sample times must be strictly increasing")
-        times.flags.writeable = False
-        omegas.flags.writeable = False
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "omegas", omegas)
 
@@ -140,7 +138,8 @@ class Trajectory:
     """Uniformly sampled attitude history R(t) from one propagation run.
 
     Matrices are raw stepper output; for the Euler method they may have
-    drifted off SO(3).
+    drifted off SO(3).  degrees_input records that the rates it was
+    propagated from were read in deg/s.
     """
 
     times: np.ndarray
@@ -148,6 +147,7 @@ class Trajectory:
     method: str
     dt: float
     truncated_span: bool = False
+    degrees_input: bool = False
 
     def __post_init__(self):
         times = _read_only(np.asarray(self.times, dtype=float).reshape(-1))
@@ -282,7 +282,7 @@ def propagate(r0: RotationMatrix, profile: RateProfile, dt: float, method: Metho
         raise NonFinite(f"step {k} (t = {float(times[k])}): rotation increment dt * w "
                         f"has non-finite components: {phis[k]}")
     if method is Method.EXPONENTIAL:
-        increments = exp_matrices(phis, r0.tol.small_angle_tol)
+        increments = exp_matrices(phis)
     else:
         increments = np.eye(3) + skew_matrices(phis)
 
@@ -322,9 +322,8 @@ def subsample(traj: Trajectory, stride: int) -> Trajectory:
         raise ValueError(f"stride must be >= 1, got {stride}")
     if stride == 1:
         return traj
-    return Trajectory(times=traj.times[::stride], matrices=traj.matrices[::stride],
-                      method=traj.method, dt=traj.dt * stride,
-                      truncated_span=traj.truncated_span)
+    return replace(traj, times=traj.times[::stride], matrices=traj.matrices[::stride],
+                   dt=traj.dt * stride)
 
 
 def drift_report(traj: Trajectory) -> DriftReport:

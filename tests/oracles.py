@@ -55,3 +55,19 @@ def random_rotation(rng):
 def rz(theta):
     c, s = np.cos(theta), np.sin(theta)
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+def two_tolerance_membership(m, ortho_tol):
+    """Name of the error the former two-tolerance SO(3) test raised for m,
+    or None if it accepted m.  It checked, in this order: finite entries,
+    ||M^T M - I||_F <= ortho_tol, then |det M - 1| <= det_tol, here with
+    det_tol = ortho_tol.  The Gram matrix is a naive triple loop."""
+    m = np.asarray(m, dtype=float)
+    if not np.all(np.isfinite(m)):
+        return "NonFinite"
+    gram = matmul3(m.T, m) - np.eye(3)
+    if np.sqrt(np.sum(gram * gram)) > ortho_tol:
+        return "NotOrthogonal"
+    if abs(np.linalg.det(m) - 1.0) > ortho_tol:
+        return "NotProperRotation"
+    return None

@@ -1,10 +1,12 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from so3kin import io as kio
 from so3kin.cli import main
+from so3kin.propagator import RateProfile
 
 
 @pytest.fixture
@@ -106,6 +108,43 @@ class TestVerifyCommand:
         capsys.readouterr()
         assert run(["verify", "--trajectory", out, "--profile", const_profile]) == 1
 
+    @pytest.mark.parametrize("strides, worst", [("1,2,4", (493, 495)), ("2,4", (492, 496))])
+    def test_failure_names_the_worst_sample(self, tmp_path, const_profile, capsys,
+                                            strides, worst):
+        out = tmp_path / "traj.csv"
+        assert run(["propagate", "--input", const_profile, "--dt", "0.001",
+                    "--method", "exp", "--output", out]) == 0
+        lines = out.read_text().splitlines()
+        row = lines[500].split(",")  # sample 494, after 6 metadata and header lines
+        assert float(row[0]) == pytest.approx(0.494)
+        row[1] = kio.fmt(float(row[1]) + 0.5)
+        lines[500] = ",".join(row)
+        out.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run(["verify", "--trajectory", out, "--profile", const_profile,
+                    "--strides", strides]) == 1
+        found = re.search(r"worst at sample (\d+) \(t = (\S+)\)$", capsys.readouterr().err)
+        index, t = int(found[1]), float(found[2])
+        assert index in worst
+        assert t == pytest.approx(index * 1e-3, abs=1e-12)
+
+    def test_degrees_round_trip_matches_radians(self, tmp_path, capsys):
+        # a knot at every 1 ms sample, so the radian pair passes verify
+        t = np.arange(2001) * 1e-3
+        w = np.column_stack([np.sin(t), np.cos(2.0 * t), np.full_like(t, 0.5)])
+        results = {}
+        for name, rates, flags in (("rad", w, []), ("deg", np.degrees(w), ["--degrees"])):
+            prof, out = tmp_path / f"{name}.csv", tmp_path / f"{name}.traj.csv"
+            kio.write_rate_profile(prof, RateProfile(t, rates))
+            assert run(["propagate", "--input", prof, "--dt", "0.001", "--output", out,
+                        "--rate-sampling", "midpoint", *flags]) == 0
+            capsys.readouterr()
+            code = run(["verify", "--trajectory", out, "--profile", prof, "--format", "json"])
+            results[name] = code, json.loads(capsys.readouterr().out)["max_residual"]
+        assert results["rad"][0] == 0
+        assert results["deg"][0] == 0
+        assert results["deg"][1] == pytest.approx(results["rad"][1], rel=1e-6)
+
     def test_mismatched_time_ranges(self, tmp_path, const_profile, capsys):
         short = tmp_path / "short.csv"
         short.write_text("t,wx,wy,wz\n0,0,0,1\n0.5,0,0,1\n")
@@ -133,11 +172,25 @@ class TestVerifyCommand:
         assert "uniform" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("args", [
+SUBCOMMANDS = [
     ["verify", "--trajectory", "t.csv", "--profile", "w.csv"],
     ["hat", "1,2,3"],
+    ["propagate", "--input", "w.csv", "--output", "t.csv", "--dt", "0.1"],
+    ["vee", "0,-3,2,3,0,-1,-2,1,0"],
+    ["compose", "a.csv", "b.csv"],
+    ["exp", "1,2,3"],
+    ["log", "r.csv"],
+]
+
+
+# --tol-ortho is a usage error where no matrix is validated (verify, hat);
+# --tol-det everywhere, since det > 0 is a sign test, not a tolerance.
+@pytest.mark.parametrize("args, flag", [
+    pytest.param(args, flag, id=f"{flag}-args{i}")
+    for flag in ("--tol-ortho", "--tol-det")
+    for i, args in enumerate(SUBCOMMANDS)
+    if flag == "--tol-det" or args[0] in ("verify", "hat")
 ])
-@pytest.mark.parametrize("flag", ["--tol-ortho", "--tol-det"])
 def test_tolerance_flags_are_usage_errors_where_unused(args, flag, capsys):
     with pytest.raises(SystemExit) as exc:
         run(args + [flag, "1e-3"])

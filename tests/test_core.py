@@ -13,6 +13,7 @@ from so3kin.core import (
     NotSkewSymmetric,
     RotationMatrix,
     SkewMatrix,
+    So3Error,
     ToleranceConfig,
     ortho_defect,
     project_to_so3,
@@ -20,7 +21,7 @@ from so3kin.core import (
     validate_rotation,
 )
 
-from oracles import random_rotation, svd_project
+from oracles import random_rotation, svd_project, two_tolerance_membership
 
 finite_component = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 
@@ -29,13 +30,9 @@ class TestToleranceConfig:
     def test_defaults(self):
         tol = ToleranceConfig()
         assert tol.ortho_tol == 1e-9
-        assert tol.det_tol == 1e-9
-        assert tol.small_angle_tol == 1e-7
 
     @pytest.mark.parametrize("kwargs", [
         {"ortho_tol": 0.0},
-        {"det_tol": -1e-9},
-        {"small_angle_tol": 0.5},
         {"ortho_tol": 1e-2},
     ])
     def test_rejects_out_of_range(self, kwargs):
@@ -79,8 +76,39 @@ class TestValidateRotation:
         m = np.eye(3) * (1.0 + 1e-7)
         with pytest.raises(NotOrthogonal):
             validate_rotation(m)
-        loose = ToleranceConfig(ortho_tol=1e-5, det_tol=1e-5)
+        loose = ToleranceConfig(ortho_tol=1e-5)
         assert validate_rotation(m, loose) is not None
+
+    def test_loose_ortho_tol_alone_accepts_noisy_rotation(self):
+        # defect ~3e-6: orthogonal within 1e-5, and det is near +1
+        rng = np.random.default_rng(8)
+        m = random_rotation(rng) + 1e-6 * rng.normal(size=(3, 3))
+        assert 1e-6 < ortho_defect(m) < 1e-5
+        assert np.array_equal(validate_rotation(m, ToleranceConfig(ortho_tol=1e-5)).matrix, m)
+
+    def test_near_reflection_is_not_proper(self):
+        m = np.diag([1.0, 1.0, -1.0]) * (1.0 + 1e-7)
+        with pytest.raises(NotProperRotation, match="det = -1.000000 is not positive"):
+            validate_rotation(m, ToleranceConfig(ortho_tol=1e-5))
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), log_noise=st.floats(-15.0, -3.0),
+           log_tol=st.floats(-12.0, -2.1), reflect=st.booleans())
+    def test_membership_matches_two_tolerance_oracle(self, seed, log_noise, log_tol, reflect):
+        # |det M - 1| <= (sqrt(3)/2) ||M^T M - I||_F to first order, so the
+        # sign of det decides exactly what a det_tol = ortho_tol test did.
+        rng = np.random.default_rng(seed)
+        m = random_rotation(rng) + 10.0 ** log_noise * rng.normal(size=(3, 3))
+        if reflect:
+            m = m @ np.diag([1.0, 1.0, -1.0])
+        tol = ToleranceConfig(ortho_tol=10.0 ** log_tol)
+        defect = np.linalg.norm(m.T @ m - np.eye(3))
+        assume(abs(defect - tol.ortho_tol) > 1e-6 * tol.ortho_tol)
+        try:
+            RotationMatrix(m, tol)
+            verdict = None
+        except So3Error as exc:
+            verdict = type(exc).__name__
+        assert verdict == two_tolerance_membership(m, tol.ortho_tol)
 
     def test_inverse_round_trip(self):
         rng = np.random.default_rng(3)
@@ -195,3 +223,9 @@ class TestFrame:
     def test_left_handed_detected(self):
         f = Frame(np.array([1.0, 0, 0]), np.array([0, 1.0, 0]), np.array([0, 0, -1.0]))
         assert not f.is_right_handed()
+
+    def test_handedness_is_the_sign_of_det_at_the_tolerance_edge(self):
+        # unit within ortho_tol, det = 1 - 2.7e-9: valid and right-handed
+        f = Frame(*((1.0 - 0.9e-9) * np.eye(3)))
+        assert f.is_right_handed()
+        assert not Frame(*((0.9e-9 - 1.0) * np.eye(3))).is_right_handed()

@@ -38,6 +38,23 @@ def test_profile_degrees_conversion(tmp_path):
     assert profile.omegas[0, 0] == pytest.approx(np.pi / 2)
 
 
+@pytest.mark.parametrize("degrees", [False, True])
+def test_profile_columns_are_handed_over_read_only(tmp_path, monkeypatch, degrees):
+    path = tmp_path / "w.csv"
+    path.write_text("t,wx,wy,wz\n0,90,0,0\n1,90,0,0\n")
+    handed = {}
+
+    def spy(**kwargs):
+        handed.update(kwargs)
+        return RateProfile(**kwargs)
+
+    monkeypatch.setattr(kio, "RateProfile", spy)
+    profile = kio.read_rate_profile(path, degrees=degrees)
+    for name in ("times", "omegas"):
+        assert not handed[name].flags.writeable
+        assert np.shares_memory(getattr(profile, name), handed[name])
+
+
 def test_profile_comments_skipped(tmp_path):
     path = tmp_path / "w.csv"
     path.write_text("# a comment\nt,wx,wy,wz\n# another\n0,0,0,1\n1,0,0,1\n")

@@ -46,6 +46,22 @@ class TestRateProfile:
         with pytest.raises(ValueError):
             RateProfile(np.array([0.0, 1.0]), np.array([[0, 0, np.nan], [0, 0, 0.0]]))
 
+    def test_copies_writable_input_and_is_read_only(self):
+        times, omegas = np.array([0.0, 1.0]), np.ones((2, 3))
+        profile = RateProfile(times, omegas)
+        assert not np.shares_memory(profile.times, times)
+        assert not np.shares_memory(profile.omegas, omegas)
+        assert not profile.times.flags.writeable
+        assert not profile.omegas.flags.writeable
+
+    def test_holds_read_only_input_without_copy(self):
+        times, omegas = np.array([0.0, 1.0]), np.ones((2, 3))
+        times.flags.writeable = False
+        omegas.flags.writeable = False
+        profile = RateProfile(times, omegas)
+        assert np.shares_memory(profile.times, times)
+        assert np.shares_memory(profile.omegas, omegas)
+
 
 class TestSampleRate:
     two = RateProfile(np.array([0.0, 1.0]), np.array([[0, 0, 0.0], [0, 0, 2.0]]))
