@@ -9,6 +9,9 @@ Conventions used throughout the package:
 * row_norms, ortho_defects, skew_matrices, first_non_rotation and
   polar_factor are the unchecked array path on raw (N, 3, 3) stacks that
   the package uses internally; the value types are their one-matrix case
+* a rotation matrix and a Frame's basis [i j k] pass one orthogonality
+  test, ||M^T M - I||_F <= ortho_tol; det > 0 makes M a rotation and
+  makes the frame right-handed
 """
 from __future__ import annotations
 
@@ -68,7 +71,7 @@ class NotProjectable(So3Error):
 
 
 class DegenerateFrame(So3Error):
-    """Frame basis vectors are not an orthonormal triad within tolerance."""
+    """Frame basis B = [i j k] fails ||B^T B - I||_F <= ortho_tol."""
 
 
 def as_vec3(v) -> np.ndarray:
@@ -223,10 +226,12 @@ def skew_from_matrix(m, tol: ToleranceConfig = DEFAULT_TOL) -> SkewMatrix:
 
 @dataclass(frozen=True)
 class Frame:
-    """A Cartesian frame: three unit basis vectors in a common ambient frame.
+    """A Cartesian frame: three orthonormal basis vectors in a common
+    ambient frame.
 
-    Construction checks unit norms and pairwise orthogonality.  The frame
-    is right-handed when det [i j k] > 0, the sign test of SO(3) membership.
+    Construction checks the basis B = [i j k] with the orthogonality test
+    of SO(3) membership, ||B^T B - I||_F <= ortho_tol (else DegenerateFrame).
+    Either handedness is valid: the frame is right-handed when det B > 0.
     """
 
     i: np.ndarray
@@ -235,17 +240,12 @@ class Frame:
     tol: ToleranceConfig = field(default_factory=ToleranceConfig, compare=False, repr=False)
 
     def __post_init__(self):
-        i, j, k = as_vec3(self.i), as_vec3(self.j), as_vec3(self.k)
-        for name, vec in (("i", i), ("j", j), ("k", k)):
-            err = abs(float(np.linalg.norm(vec)) - 1.0)
-            if err > self.tol.ortho_tol:
-                raise DegenerateFrame(f"basis vector {name} is not unit length (|norm-1| = {err:.3e})")
-        for pair, dot in (("i.j", i @ j), ("i.k", i @ k), ("j.k", j @ k)):
-            if abs(float(dot)) > self.tol.ortho_tol:
-                raise DegenerateFrame(f"basis vectors not orthogonal: {pair} = {float(dot):.3e}")
-        object.__setattr__(self, "i", i)
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "k", k)
+        for name in ("i", "j", "k"):
+            object.__setattr__(self, name, as_vec3(getattr(self, name)))
+        defect = ortho_defect(self.basis)
+        if defect > self.tol.ortho_tol:
+            raise DegenerateFrame(f"basis [i j k] is not orthonormal: ||B^T B - I||_F = "
+                                  f"{defect:.3e} exceeds ortho_tol = {self.tol.ortho_tol:.3e}")
 
     @property
     def basis(self) -> np.ndarray:

@@ -34,7 +34,7 @@ class TooFewSamples(So3Error):
 
 
 class DegenerateInput(So3Error):
-    """Convergence-order input has nonpositive or duplicate step sizes."""
+    """Convergence-order input has fewer than two distinct positive step sizes."""
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,7 @@ class ResidualReport:
     per_sample is an (N, 2) array of (time, Frobenius residual) rows, one
     per interior sample.
     estimated_order is the log-log regression slope of residual vs step
-    size; it is None when fewer than two step sizes were measured.
+    size; it is None on the one-grid report of finite_difference_residual.
     """
 
     max_residual: float
@@ -108,23 +108,22 @@ def residual_order_report(trajectory, profile, strides=(1, 2, 4)) -> ResidualRep
 
     Subsamples the trajectory by each integer stride (step size becomes
     stride * h), evaluates the residual at each, and regresses the maxima
-    to estimate the convergence order.  per_sample and max_residual refer
-    to the finest (stride 1 or smallest given) grid.
+    to estimate the convergence order, so estimated_order is always set.
+    per_sample and max_residual refer to the finest (smallest stride) grid.
+
+    Raises DegenerateInput, naming the strides, unless they hold at least
+    two distinct values and all are positive.
     """
-    strides = sorted(set(int(s) for s in strides))
-    if any(s < 1 for s in strides):
-        raise DegenerateInput("strides must be positive integers")
-    reports = [(s, finite_difference_residual(subsample(trajectory, s), profile))
-               for s in strides]
-    finest = reports[0][1]
-    step_sizes = [rep.step_sizes[0] for _, rep in reports]
-    order = None
-    if len(reports) >= 2:
-        order = estimate_convergence_order(
-            [(rep.step_sizes[0], rep.max_residual) for _, rep in reports]
-        )
-    return ResidualReport(max_residual=finest.max_residual,
-                          per_sample=finest.per_sample,
+    given = [int(s) for s in strides]
+    strides = sorted(set(given))
+    if len(strides) < 2 or strides[0] < 1:
+        raise DegenerateInput(f"need at least two distinct positive strides, got {given}")
+    reports = [finite_difference_residual(subsample(trajectory, s), profile) for s in strides]
+    step_sizes = [rep.step_sizes[0] for rep in reports]
+    order = estimate_convergence_order(
+        [(h, rep.max_residual) for h, rep in zip(step_sizes, reports)])
+    return ResidualReport(max_residual=reports[0].max_residual,
+                          per_sample=reports[0].per_sample,
                           step_sizes=step_sizes,
                           estimated_order=order)
 

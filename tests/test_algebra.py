@@ -17,7 +17,7 @@ from so3kin.algebra import (
     rotation_from_frames,
     vee,
 )
-from so3kin.core import Frame, NonFinite, NotProperRotation, validate_rotation
+from so3kin.core import DegenerateFrame, Frame, NonFinite, NotProperRotation, validate_rotation
 from so3kin.differential import estimate_convergence_order
 
 from oracles import matmul3, random_rotation, series_exp
@@ -101,6 +101,12 @@ class TestRotationFromFrames:
         target = Frame(np.array([1.0, 0, 0]), np.array([0, 1.0, 0]), np.array([0, 0, -1.0]))
         with pytest.raises(NotProperRotation):
             rotation_from_frames(target, self.ref)
+
+    def test_basis_outside_the_orthogonality_test_fails_when_built(self):
+        # ||B^T B - I||_F = 3.118e-9 > ortho_tol: Frame raises before
+        # rotation_from_frames could raise NotOrthogonal on the same matrix
+        with pytest.raises(DegenerateFrame, match="3.118e-09 exceeds ortho_tol"):
+            rotation_from_frames(Frame(*((1.0 - 0.9e-9) * np.eye(3))), self.ref)
 
 
 class TestComposeFixed:

@@ -145,6 +145,27 @@ class TestVerifyCommand:
         assert results["deg"][0] == 0
         assert results["deg"][1] == pytest.approx(results["rad"][1], rel=1e-6)
 
+    @pytest.mark.parametrize("strides", ["1", "1,1"])
+    def test_fewer_than_two_distinct_strides_exit_1(self, tmp_path, const_profile, capsys,
+                                                    strides):
+        out = tmp_path / "traj.csv"
+        assert run(["propagate", "--input", const_profile, "--dt", "0.001",
+                    "--output", out]) == 0
+        assert run(["verify", "--trajectory", out, "--profile", const_profile]) == 0
+        capsys.readouterr()
+        assert run(["verify", "--trajectory", out, "--profile", const_profile,
+                    "--strides", strides]) == 1
+        err = capsys.readouterr().err
+        assert f"need at least two distinct positive strides, got [{strides.replace(',', ', ')}]" in err
+        assert "verification failed" not in err
+
+    def test_interp_is_a_usage_error(self, tmp_path, const_profile, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["verify", "--trajectory", tmp_path / "traj.csv", "--profile", const_profile,
+                 "--interp", "zoh"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --interp zoh" in capsys.readouterr().err
+
     def test_mismatched_time_ranges(self, tmp_path, const_profile, capsys):
         short = tmp_path / "short.csv"
         short.write_text("t,wx,wy,wz\n0,0,0,1\n0.5,0,0,1\n")

@@ -21,7 +21,7 @@ from so3kin.core import (
     validate_rotation,
 )
 
-from oracles import random_rotation, svd_project, two_tolerance_membership
+from oracles import matmul3, random_rotation, svd_project, two_tolerance_membership
 
 finite_component = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 
@@ -225,7 +225,29 @@ class TestFrame:
         assert not f.is_right_handed()
 
     def test_handedness_is_the_sign_of_det_at_the_tolerance_edge(self):
-        # unit within ortho_tol, det = 1 - 2.7e-9: valid and right-handed
-        f = Frame(*((1.0 - 0.9e-9) * np.eye(3)))
-        assert f.is_right_handed()
-        assert not Frame(*((0.9e-9 - 1.0) * np.eye(3))).is_right_handed()
+        # ||B^T B - I||_F = 2 * sqrt(3) * 0.9e-9 = 3.1e-9 > ortho_tol: not a frame
+        for scale in (1.0 - 0.9e-9, 0.9e-9 - 1.0):
+            with pytest.raises(DegenerateFrame):
+                Frame(*(scale * np.eye(3)))
+        # ||B^T B - I||_F = 2 * sqrt(3) * 2.5e-10 = 8.66e-10 <= ortho_tol: a frame
+        assert Frame(*((1.0 - 2.5e-10) * np.eye(3))).is_right_handed()
+        assert not Frame(*((2.5e-10 - 1.0) * np.eye(3))).is_right_handed()
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), log_noise=st.floats(-15.0, 0.0),
+           log_tol=st.floats(-12.0, -2.1), reflect=st.booleans())
+    def test_accepts_exactly_the_bases_within_the_gram_defect(self, seed, log_noise,
+                                                             log_tol, reflect):
+        rng = np.random.default_rng(seed)
+        b = random_rotation(rng) + 10.0 ** log_noise * rng.normal(size=(3, 3))
+        if reflect:
+            b = b @ np.diag([1.0, 1.0, -1.0])
+        tol = ToleranceConfig(ortho_tol=10.0 ** log_tol)
+        gram = matmul3(b.T, b) - np.eye(3)
+        defect = np.sqrt(np.sum(gram * gram))
+        assume(abs(defect - tol.ortho_tol) > 1e-6 * tol.ortho_tol)
+        try:
+            Frame(b[:, 0], b[:, 1], b[:, 2], tol)
+            accepted = True
+        except DegenerateFrame:
+            accepted = False
+        assert accepted == (defect <= tol.ortho_tol)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -216,6 +218,14 @@ class TestEstimateConvergenceOrder:
 
 
 class TestResidualOrderReport:
+    @pytest.mark.parametrize("strides", [(1,), (1, 1), (), (0, 1)])
+    def test_needs_two_distinct_positive_strides(self, strides):
+        profile = RateProfile.constant((0.0, 0.0, 1.0), 0.0, 1.0)
+        traj = exact_trajectory((0.0, 0.0, 1.0), 0.0, 1.0, 1e-2)
+        with pytest.raises(DegenerateInput, match=re.escape(
+                f"need at least two distinct positive strides, got {list(strides)}")):
+            residual_order_report(traj, profile, strides)
+
     def test_exact_trajectory_order_two(self):
         profile = RateProfile.constant((0.0, 0.0, 1.0), 0.0, 1.0)
         traj = exact_trajectory((0.0, 0.0, 1.0), 0.0, 1.0, 1e-3)

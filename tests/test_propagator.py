@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from so3kin.algebra import Axis, elementary_rotation, exp_so3
 from so3kin.core import (
@@ -30,7 +32,7 @@ from so3kin.propagator import (
     subsample,
 )
 
-from oracles import random_rotation, rz
+from oracles import matmul3, random_rotation, rz, series_exp, skew3
 
 
 class TestRateProfile:
@@ -154,6 +156,18 @@ class TestSteppers:
         out = step_euler_renorm(RotationMatrix.identity(), (0.0, 0.0, 1.0), 1e-3)
         ref = step_exponential(RotationMatrix.identity(), (0.0, 0.0, 1.0), 1e-3)
         assert np.linalg.norm(out.matrix - ref.matrix) <= 1e-9
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), log_theta=st.floats(-8.0, np.log10(0.3)))
+    def test_euler_renorm_rotates_by_atan_of_the_increment(self, seed, log_theta):
+        # the polar factor of I + hat(phi) is the rotation by atan|phi| about phi
+        rng = np.random.default_rng(seed)
+        r = validate_rotation(random_rotation(rng))
+        axis = rng.normal(size=3)
+        phi = 10.0 ** log_theta * axis / np.linalg.norm(axis)
+        theta = float(np.linalg.norm(phi))
+        expected = matmul3(series_exp(skew3(np.arctan(theta) / theta * phi)), r.matrix)
+        out = step_euler_renorm(r, phi, 1.0)
+        assert np.max(np.abs(out.matrix - expected)) <= 1e-14
 
     def test_euler_renorm_stays_orthogonal(self):
         rng = np.random.default_rng(5)
