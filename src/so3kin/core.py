@@ -6,9 +6,9 @@ Conventions used throughout the package:
 * vectors are numpy arrays of shape (3,), matrices of shape (3, 3)
 * matrices are row-major when flattened or serialized
 * every value type is immutable; operations are pure functions
-* row_norms, ortho_defects, skew_matrices, first_non_rotation and
-  polar_factor are the unchecked array path on raw (N, 3, 3) stacks that
-  the package uses internally; the value types are their one-matrix case
+* row_norms, ortho_defects, skew_matrices and first_non_rotation are the
+  unchecked array path on raw (N, 3, 3) stacks that the package uses
+  internally; the value types are their one-matrix case
 * a rotation matrix and a Frame's basis [i j k] pass one orthogonality
   test, ||M^T M - I||_F <= ortho_tol; det > 0 makes M a rotation and
   makes the frame right-handed

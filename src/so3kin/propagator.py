@@ -4,7 +4,11 @@ Three steppers integrate dR/dt = hat(w) @ R:
 
 * exponential: R <- exp(dt * w) @ R, stays on SO(3) to roundoff
 * euler: R <- (I + hat(dt * w)) @ R, leaves the manifold at O(dt^2) per step
-* euler_renorm: the Euler step followed by polar projection back onto SO(3)
+* euler_renorm: the Euler step followed by polar projection back onto SO(3).
+  The polar factor of I + hat(phi) is the rotation by atan|phi| about phi,
+  and polar(A @ R) = polar(A) @ R for orthogonal R, so each step is that
+  closed-form increment times R; one Newton-Schulz step per sample,
+  X <- X (3I - X^T X) / 2, removes only the roundoff of the product.
 
 Euler trajectories store the raw drifted matrices; the drift is the
 measurement, not an error.
@@ -16,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .algebra import exp_matrices, exp_so3
+from .algebra import _SMALL_ANGLE, exp_matrices, exp_so3
 from .core import (
     NonFinite,
     RotationMatrix,
@@ -24,8 +28,7 @@ from .core import (
     as_vec3,
     first_non_rotation,
     ortho_defects,
-    polar_factor,
-    project_to_so3,
+    row_norms,
     skew_matrices,
 )
 
@@ -245,9 +248,35 @@ def step_euler(r, omega, dt: float) -> np.ndarray:
 
 
 def step_euler_renorm(r: RotationMatrix, omega, dt: float) -> RotationMatrix:
-    """Euler step followed by polar projection back onto SO(3)."""
+    """Euler step followed by polar projection back onto SO(3).
+
+    Since polar(A @ R) = polar(A) @ R for orthogonal R, the step is the
+    closed-form polar factor of I + hat(dt * omega), validated like the
+    exp increment, times R; one Newton-Schulz step then removes the
+    product's roundoff.
+    """
     _check_step(dt)
-    return project_to_so3(step_euler(r, omega, dt), r.tol)
+    inc = RotationMatrix(_polar_increments(dt * as_vec3(omega)), r.tol)
+    return RotationMatrix(_newton_polar(inc.matrix @ r.matrix), r.tol)
+
+
+def _polar_increments(phis: np.ndarray) -> np.ndarray:
+    """Polar factors of I + hat(phi) over (..., 3) finite vectors: the
+    rotations by atan|phi| about phi, without the SO(3) check."""
+    theta = row_norms(phis)[..., None]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        scale = np.where(theta < _SMALL_ANGLE, 1.0 - theta * theta / 3.0,
+                         np.arctan(theta) / theta)
+    return exp_matrices(scale * phis)
+
+
+_THREE_I = 3.0 * np.eye(3)
+
+
+def _newton_polar(x: np.ndarray) -> np.ndarray:
+    """One Newton-Schulz step towards the polar factor of a near-orthogonal
+    3x3 array: x (3I - x^T x) / 2."""
+    return np.dot(x, _THREE_I - np.dot(x.T, x)) * 0.5
 
 
 def _check_step(dt: float) -> None:
@@ -284,6 +313,8 @@ def propagate(r0: RotationMatrix, profile: RateProfile, dt: float, method: Metho
                         f"has non-finite components: {phis[k]}")
     if method is Method.EXPONENTIAL:
         increments = exp_matrices(phis)
+    elif method is Method.EULER_RENORM:
+        increments = _polar_increments(phis)
     else:
         increments = np.eye(3) + skew_matrices(phis)
 
@@ -293,9 +324,9 @@ def propagate(r0: RotationMatrix, profile: RateProfile, dt: float, method: Metho
     for inc, cur, nxt in zip(increments, mats[:-1], mats[1:]):
         np.dot(inc, cur, out=nxt)
         if method is Method.EULER_RENORM:
-            nxt[...] = polar_factor(nxt)
+            nxt[...] = _newton_polar(nxt)
     if method is not Method.EULER:
-        _check_chain(increments if method is Method.EXPONENTIAL else None, mats, times, r0.tol)
+        _check_chain(increments, mats, times, r0.tol)
 
     times.flags.writeable = False
     mats.flags.writeable = False
@@ -305,10 +336,10 @@ def propagate(r0: RotationMatrix, profile: RateProfile, dt: float, method: Metho
 
 def _check_chain(increments, mats, times, tol) -> None:
     """Raise the SO(3) error that checking each step in turn meets first:
-    step k checks its increment (when given), then the sample k + 1 it
-    produced.  The message names the index and time."""
+    step k checks its increment, then the sample k + 1 it produced.  The
+    message names the index and time."""
     sample = first_non_rotation(mats[1:], tol)
-    inc = None if increments is None else first_non_rotation(increments, tol)
+    inc = first_non_rotation(increments, tol)
     if inc is not None and (sample is None or inc[0] <= sample[0]):
         k, error = inc
         raise type(error)(f"increment of step {k} (t = {float(times[k])}): {error}")

@@ -22,6 +22,7 @@ from so3kin.propagator import (
     RateProfile,
     RateSampling,
     Trajectory,
+    _polar_increments,
     drift_report,
     propagate,
     sample_rate,
@@ -32,7 +33,7 @@ from so3kin.propagator import (
     subsample,
 )
 
-from oracles import matmul3, random_rotation, rz, series_exp, skew3
+from oracles import matmul3, random_rotation, rz, series_exp, skew3, svd_project
 
 
 class TestRateProfile:
@@ -169,6 +170,14 @@ class TestSteppers:
         out = step_euler_renorm(r, phi, 1.0)
         assert np.max(np.abs(out.matrix - expected)) <= 1e-14
 
+    @given(seed=st.integers(0, 2 ** 32 - 1), log_theta=st.floats(-8.0, 1.0))
+    def test_polar_increment_is_the_svd_projection(self, seed, log_theta):
+        # euler_renorm's closed-form increment is the nearest rotation to I + hat(phi)
+        axis = np.random.default_rng(seed).normal(size=3)
+        phi = 10.0 ** log_theta * axis / np.linalg.norm(axis)
+        expected = svd_project(np.eye(3) + skew3(phi))
+        assert np.max(np.abs(_polar_increments(phi) - expected)) <= 2e-14
+
     def test_euler_renorm_stays_orthogonal(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
@@ -211,6 +220,17 @@ class TestPropagate:
         traj = propagate(RotationMatrix.identity(), profile, 1e-3, Method.EULER)
         drift = drift_report(traj)
         assert 1e-4 <= drift.max_ortho_err <= 1e-1
+
+    def test_euler_renorm_random_spins_stay_at_roundoff(self):
+        # chained closed-form increments alone drift to ~1e-12 over these spins;
+        # the Newton step at every sample holds them at roundoff
+        rng = np.random.default_rng(1)
+        for _ in range(10):
+            axis = rng.normal(size=3)
+            w = rng.uniform(0.2, 3.0) * axis / np.linalg.norm(axis)
+            profile = RateProfile.constant(w, 0.0, 10.0)
+            traj = propagate(RotationMatrix.identity(), profile, 1e-3, Method.EULER_RENORM)
+            assert drift_report(traj).max_ortho_err <= 1e-14
 
     def test_span_truncation(self):
         profile = RateProfile.constant((0.0, 0.0, 1.0), 0.0, 1.05)
@@ -322,34 +342,48 @@ class TestPropagateMatchesPublicSteps:
             RotationMatrix.identity(), profile, 0.1, method, RateSampling.START, 5))
 
 
-def first_public_failure(r0, profile, dt, n_steps):
+PUBLIC_STEPS = {
+    Method.EXPONENTIAL: (exp_so3, step_exponential),
+    Method.EULER_RENORM: (lambda phi, tol: RotationMatrix(_polar_increments(phi), tol),
+                          step_euler_renorm),
+}
+
+
+def first_public_failure(r0, profile, dt, n_steps, method):
     """Message prefix and error type of the first check the step-by-step
-    public path fails: step k checks exp_so3 of its increment, then the
-    sample k + 1 it produces."""
+    public path fails: step k checks its increment, as the public step_*
+    call builds it, then the sample k + 1 that call produces."""
+    increment, step = PUBLIC_STEPS[method]
     state = r0
     for k in range(n_steps):
+        w = sample_rate(profile, k * dt)
         try:
-            inc = exp_so3(dt * sample_rate(profile, k * dt), r0.tol)
+            increment(dt * w, r0.tol)
         except So3Error as exc:
             return f"increment of step {k} (t = {k * dt}): ", type(exc)
         try:
-            state = RotationMatrix(inc.matrix @ state.matrix, r0.tol)
+            state = step(state, w, dt)
         except So3Error as exc:
             return f"sample {k + 1} (t = {(k + 1) * dt}): ", type(exc)
     return None
 
 
 class TestPropagateValidation:
-    @pytest.mark.parametrize("ortho_tol,where", [(1e-15, "sample"), (1e-17, "increment")])
-    def test_tight_tolerance_names_first_failure(self, ortho_tol, where):
+    @pytest.mark.parametrize("method,ortho_tol,where", [
+        (Method.EXPONENTIAL, 1e-15, "sample"),
+        (Method.EXPONENTIAL, 1e-17, "increment"),
+        (Method.EULER_RENORM, 4.5e-16, "sample"),
+        (Method.EULER_RENORM, 1e-16, "increment"),
+    ])
+    def test_tight_tolerance_names_first_failure(self, method, ortho_tol, where):
         ts = np.linspace(0.0, 1.0, 11)
         ws = np.column_stack([np.sin(3 * ts), np.cos(2 * ts), 0.5 + ts])
         profile = RateProfile(ts, ws)
         r0 = RotationMatrix.identity(ToleranceConfig(ortho_tol=ortho_tol))
-        prefix, error = first_public_failure(r0, profile, 1e-3, 1000)
+        prefix, error = first_public_failure(r0, profile, 1e-3, 1000, method)
         assert error is NotOrthogonal and prefix.startswith(where)
         with pytest.raises(NotOrthogonal) as info:
-            propagate(r0, profile, 1e-3, Method.EXPONENTIAL)
+            propagate(r0, profile, 1e-3, method)
         assert str(info.value).startswith(prefix)
 
     def test_euler_is_never_validated(self):
