@@ -10,7 +10,10 @@
   truncated_span
 
 Numbers are serialized as 17-significant-digit decimals so doubles
-round-trip bit-exactly.  Lines starting with ``#`` are comments.
+round-trip bit-exactly.  Lines starting with ``#`` are comments.  On
+read, a number is any token ``float()`` accepts, with ``float()``'s value;
+each body is converted in one ``np.loadtxt`` call, and a body that call
+refuses is walked line by line, so errors still name ``path:line``.
 """
 from __future__ import annotations
 
@@ -63,9 +66,11 @@ def _read_rows(path, n_cols: int, header: Optional[str] = None):
     if one is given (then at least one row is required).  ``# key=value``
     comments fill metadata.  Errors name ``path:line``."""
     metadata: dict[str, str] = {}
-    rows: list[list[float]] = []
+    linenos: list[int] = []
+    lines: list[str] = []
     expect_header = header is not None
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    text = Path(path).read_text()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -79,6 +84,30 @@ def _read_rows(path, n_cols: int, header: Optional[str] = None):
                 raise ParseError(f"{path}:{lineno}: expected header '{header}', got '{line}'")
             expect_header = False
             continue
+        linenos.append(lineno)
+        lines.append(line)
+    if expect_header:
+        raise ParseError(f"{path}: missing header '{header}'")
+    if header is not None and not lines:
+        raise ParseError(f"{path}: no data rows")
+    # The body in one vectorized call.  loadtxt converts each field with
+    # PyOS_string_to_double, as float() does, so each value it returns is
+    # float()'s, bit for bit.  Its syntax is a subset of float()'s (no "1_0",
+    # no non-ASCII digits) but for one character: it strips U+001F around a
+    # number, which float() rejects, so a text holding one takes the line
+    # walk.  comments=None keeps "1#c" a bad token.  A body loadtxt refuses,
+    # or reads to another shape, is walked line by line, which raises at the
+    # first bad line in file order.
+    if lines and "\x1f" not in text:
+        try:
+            data = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None)
+        except ValueError:
+            pass
+        else:
+            if data.shape == (len(lines), n_cols):
+                return metadata, data
+    rows: list[list[float]] = []
+    for lineno, line in zip(linenos, lines):
         parts = line.split(",")
         if len(parts) != n_cols:
             raise ParseError(f"{path}:{lineno}: expected {n_cols} columns, got {len(parts)}")
@@ -86,10 +115,6 @@ def _read_rows(path, n_cols: int, header: Optional[str] = None):
             rows.append([float(p) for p in parts])
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from None
-    if expect_header:
-        raise ParseError(f"{path}: missing header '{header}'")
-    if header is not None and not rows:
-        raise ParseError(f"{path}: no data rows")
     return metadata, np.array(rows)
 
 
@@ -133,7 +158,10 @@ def read_trajectory(path) -> Trajectory:
     times = data[:, 0]
     mats = data[:, 1:10].reshape(-1, 3, 3)
     if "dt" in metadata:
-        dt = float(metadata["dt"])
+        try:
+            dt = float(metadata["dt"])
+        except ValueError as exc:
+            raise ParseError(f"{path}: dt metadata: {exc}") from None
     elif times.size > 1:
         dt = float(times[1] - times[0])
     else:

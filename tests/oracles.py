@@ -2,9 +2,15 @@
 
 These deliberately avoid the code paths they check: matrix products are
 naive triple loops, the exponential is a truncated power series, and the
-nearest-rotation oracle goes through the SVD.
+nearest-rotation oracle goes through the SVD.  The CSV body oracle is the
+reader that converted each token with float() in a per-line loop.
 """
+from pathlib import Path
+from typing import Optional
+
 import numpy as np
+
+from so3kin.io import ParseError
 
 
 def matmul3(a, b):
@@ -71,3 +77,38 @@ def two_tolerance_membership(m, ortho_tol):
     if abs(np.linalg.det(m) - 1.0) > ortho_tol:
         return "NotProperRotation"
     return None
+
+
+def line_loop_rows(path, n_cols: int, header: Optional[str] = None):
+    """(metadata, rows) of a CSV of n_cols numbers per line, after the header
+    if one is given (then at least one row is required).  ``# key=value``
+    comments fill metadata.  Errors name ``path:line``."""
+    metadata: dict[str, str] = {}
+    rows: list[list[float]] = []
+    expect_header = header is not None
+    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            key, eq, value = line.lstrip("#").partition("=")
+            if eq:
+                metadata[key.strip()] = value.strip()
+            continue
+        if expect_header:
+            if line.replace(" ", "") != header:
+                raise ParseError(f"{path}:{lineno}: expected header '{header}', got '{line}'")
+            expect_header = False
+            continue
+        parts = line.split(",")
+        if len(parts) != n_cols:
+            raise ParseError(f"{path}:{lineno}: expected {n_cols} columns, got {len(parts)}")
+        try:
+            rows.append([float(p) for p in parts])
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from None
+    if expect_header:
+        raise ParseError(f"{path}: missing header '{header}'")
+    if header is not None and not rows:
+        raise ParseError(f"{path}: no data rows")
+    return metadata, np.array(rows)

@@ -192,6 +192,28 @@ class TestVerifyCommand:
         assert run(["verify", "--trajectory", out, "--profile", const_profile]) == 2
         assert "uniform" in capsys.readouterr().err
 
+    def test_unparsable_dt_metadata_exits_2_naming_the_file(self, tmp_path, const_profile,
+                                                            capsys):
+        out = tmp_path / "traj.csv"
+        assert run(["propagate", "--input", const_profile, "--dt", "0.1",
+                    "--output", out]) == 0
+        out.write_text(out.read_text().replace("# dt=0.10000000000000001", "# dt=abc"))
+        capsys.readouterr()
+        assert run(["verify", "--trajectory", out, "--profile", const_profile]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {out}: dt metadata: could not convert string to float: 'abc'\n")
+
+    def test_bad_token_exits_2_naming_its_line(self, tmp_path, const_profile, capsys):
+        out = tmp_path / "traj.csv"
+        assert run(["propagate", "--input", const_profile, "--dt", "0.1",
+                    "--output", out]) == 0
+        lines = out.read_text().splitlines()
+        lines[9] = lines[9].replace(",", ",x", 1)  # file line 10
+        out.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run(["verify", "--trajectory", out, "--profile", const_profile]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {out}:10: could not convert")
+
 
 SUBCOMMANDS = [
     ["verify", "--trajectory", "t.csv", "--profile", "w.csv"],

@@ -1,7 +1,10 @@
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from so3kin import io as kio
 from so3kin.core import RotationMatrix
@@ -14,6 +17,8 @@ from so3kin.propagator import (
     drift_report,
     propagate,
 )
+
+from oracles import line_loop_rows
 
 
 @pytest.fixture
@@ -173,3 +178,187 @@ def test_report_text_and_json_carry_same_values():
     parsed = json.loads(kio.report_json([report]))
     assert parsed["max_ortho_err"] == 1e-15
     assert parsed["max_residual"] is None
+
+
+# The body is parsed in one np.loadtxt call; these pin the places where its
+# grammar and float()'s could part.
+
+
+@pytest.mark.parametrize("row, token", [
+    ("0,0,0,1#c", "1#c"),  # a '#' inside a line is no comment
+    ("0,0,0,nan(1)", "nan(1)"),
+    ("0,0,nan(123),1", "nan(123)"),
+    ("0,0,,1", ""),
+    ("0,0,1 2,1", "1 2"),
+    ("0,0,0x10,1", "0x10"),
+    ("0,0,1\x1f,1", "1\x1f"),  # str.isspace('\x1f'), but float() does not strip it
+    ("0,\x1f1,0,1", "\x1f1"),
+])
+def test_tokens_float_rejects_are_bad_tokens_naming_their_line(tmp_path, row, token):
+    path = tmp_path / "w.csv"
+    path.write_text(f"t,wx,wy,wz\n{row}\n1,0,0,1\n")
+    with pytest.raises(kio.ParseError) as exc:
+        kio.read_rate_profile(path)
+    assert str(exc.value) == f"{path}:2: could not convert string to float: {token!r}"
+
+
+@pytest.mark.parametrize("token, value", [
+    ("1_0", 10.0), ("\N{ARABIC-INDIC DIGIT THREE}", 3.0), (" 2\t", 2.0),
+    ("\N{IDEOGRAPHIC SPACE}2", 2.0), ("1e500", np.inf),
+])
+def test_tokens_float_accepts_keep_their_float_value(tmp_path, token, value):
+    path = tmp_path / "m.csv"
+    path.write_text(f"1,0,0\n0,{token},0\n0,0,1\n")
+    assert np.array_equal(kio.read_matrix(path), [[1, 0, 0], [0, value, 0], [0, 0, 1]])
+
+
+def test_nan_keeps_its_sign_bit(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("-nan,nan,-0\n0,1,0\n0,0,1\n")
+    m = kio.read_matrix(path)
+    assert np.isnan(m[0, :2]).all()
+    assert list(np.signbit(m[0])) == [True, False, True]
+    assert m[0].tobytes() == np.array([float("-nan"), float("nan"), -0.0]).tobytes()
+
+
+def test_first_bad_line_in_file_order_is_reported(tmp_path):
+    body = ["0,0,0,1", "1,0,0,1", "2,0,0,1", "3,0,x,1", "4,0,0,1", "5,0,0,1", "6,0,0,1", "7,0,0"]
+    path = tmp_path / "w.csv"
+    path.write_text("t,wx,wy,wz\n" + "\n".join(body) + "\n")  # bad token on line 5, 3 columns on 9
+    with pytest.raises(kio.ParseError, match="^" + re.escape(f"{path}:5: could not convert")):
+        kio.read_rate_profile(path)
+    body[3] = "3,0,0,1"
+    body[1] = "1,0,0,1,1"  # now the column count on line 3 comes first
+    path.write_text("t,wx,wy,wz\n" + "\n".join(body) + "\n")
+    with pytest.raises(kio.ParseError, match="^" + re.escape(f"{path}:3: expected 4 columns, got 5")):
+        kio.read_rate_profile(path)
+
+
+@pytest.mark.parametrize("read, text, error", [
+    (kio.read_rate_profile, "t,wx,wy,wz\n0,0,0,1,0\n1,0,0,1,0\n", "2: expected 4 columns, got 5"),
+    (kio.read_matrix, "# m\n1,0\n0,1\n0,0\n", "2: expected 3 columns, got 2"),
+], ids=["profile", "matrix"])
+def test_same_wrong_column_count_on_every_row_is_reported(tmp_path, read, text, error):
+    # loadtxt reads such a body without complaint, to another shape
+    path = tmp_path / "f.csv"
+    path.write_text(text)
+    with pytest.raises(kio.ParseError) as exc:
+        read(path)
+    assert str(exc.value) == f"{path}:{error}"
+
+
+def test_a_valid_body_is_parsed_in_one_loadtxt_call(tmp_path, monkeypatch, profile):
+    path = tmp_path / "w.csv"
+    kio.write_rate_profile(path, profile)
+    calls = []
+    loadtxt = np.loadtxt
+
+    def spy(lines, **kwargs):
+        calls.append(len(lines))
+        return loadtxt(lines, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    monkeypatch.setattr(kio, "float", lambda _: pytest.fail("float() on a valid body"),
+                        raising=False)
+    back = kio.read_rate_profile(path)
+    assert calls == [len(profile.times)]
+    assert np.array_equal(back.omegas, profile.omegas)
+
+
+# Equivalence with the per-line float() reader it replaces (oracles.line_loop_rows).
+
+_SPECIAL = ["0", "-0", "0.0", "-0.0", "5e-324", "-5e-324", "2.2250738585072009e-308",
+            "1e-310", "inf", "-inf", "Infinity", "-Infinity", "nan", "-nan", "NaN", "+nan",
+            "1e500", "-1e-400", ".5", "5.", "+1"]
+_ODD = ["1_0", "\N{ARABIC-INDIC DIGIT THREE}", "nan(1)", "1#c", "", "1 2", "0x10", "1\x1f",
+        "1\N{IDEOGRAPHIC SPACE}", "abc"]
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_number = st.one_of(
+    _finite.map(lambda x: "%.17g" % x),
+    _finite.map(repr),
+    _finite.map(lambda x: "%.3g" % x),
+    st.integers(-1000, 1000).map(str),
+    st.sampled_from(_SPECIAL),
+)
+_token = st.tuples(st.sampled_from(["", " ", "\t", "  "]), _number,
+                   st.sampled_from(["", " ", "\t "])).map("".join)
+_odd = st.sampled_from(_ODD)
+_comment = st.one_of(
+    st.sampled_from(["# note", "#", "  # indented", "", "   "]),
+    st.tuples(st.sampled_from(["method", "dt", "dt", "truncated_span", "degrees_input", "k"]),
+              st.one_of(_token, _token, _odd, st.sampled_from(["exp", "true", "false"])))
+    .map(lambda kv: f"# {kv[0]}={kv[1]}"),
+)
+
+
+@st.composite
+def _csv_text(draw, n_cols, header, time_column):
+    """A file of n_cols-token rows mixed with blank and comment lines, behind
+    the header if there is one.  Some rows carry a token from _ODD or a column
+    too many or too few.  With time_column, column 0 is the row index, so
+    that the readers that need increasing or uniform times get them."""
+    lines = draw(st.lists(_comment, max_size=2))
+    if header is not None:
+        lines.append(draw(st.sampled_from([header, " " + header.replace(",", ", ")])))
+    for k in range(draw(st.sampled_from([1, 2, 3, 3, 5]))):
+        lines += draw(st.lists(_comment, max_size=1))
+        width = n_cols + draw(st.sampled_from([0] * 15 + [-1, 1]))
+        row = draw(st.lists(_token, min_size=width, max_size=width))
+        if time_column:
+            row[0] = draw(st.sampled_from(["%d", "%.17g", " %d.0 "])) % k
+        if draw(st.sampled_from([False] * 7 + [True])):
+            row[draw(st.integers(0, width - 1))] = draw(_odd)
+        lines.append(",".join(row))
+    lines += draw(st.lists(_comment, max_size=2))
+    return "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+
+
+def _bits(value):
+    if isinstance(value, np.ndarray):
+        return value.shape, value.dtype, value.tobytes()
+    if isinstance(value, float):
+        return np.float64(value).tobytes()
+    return value
+
+
+def _outcome(read, path):
+    """A comparable record of what read(path) returned, bit for bit, or the
+    ParseError message it raised."""
+    try:
+        got = read(path)
+    except kio.ParseError as exc:
+        return "ParseError", str(exc)
+    if isinstance(got, tuple):  # _read_rows' (metadata, rows)
+        return tuple(map(_bits, got))
+    if isinstance(got, np.ndarray):  # read_matrix
+        return _bits(got)
+    return {name: _bits(value) for name, value in vars(got).items()}
+
+
+@pytest.fixture(scope="module")
+def csv_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("bodies") / "f.csv"
+
+
+@pytest.mark.parametrize("n_cols, header", [(4, kio.PROFILE_HEADER), (12, kio.TRAJECTORY_HEADER),
+                                            (3, None)], ids=["profile", "trajectory", "matrix"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_read_rows_matches_the_line_loop(csv_path, n_cols, header, data):
+    csv_path.write_text(data.draw(_csv_text(n_cols, header, time_column=False)))
+    expected = _outcome(lambda p: line_loop_rows(p, n_cols, header), csv_path)
+    assert _outcome(lambda p: kio._read_rows(p, n_cols, header), csv_path) == expected
+
+
+@pytest.mark.parametrize("reader, n_cols, header", [
+    (kio.read_rate_profile, 4, kio.PROFILE_HEADER),
+    (kio.read_trajectory, 12, kio.TRAJECTORY_HEADER),
+    (kio.read_matrix, 3, None),
+], ids=["profile", "trajectory", "matrix"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_public_readers_match_the_line_loop(csv_path, reader, n_cols, header, data):
+    csv_path.write_text(data.draw(_csv_text(n_cols, header, time_column=header is not None)))
+    with mock.patch.object(kio, "_read_rows", line_loop_rows):
+        expected = _outcome(reader, csv_path)
+    assert _outcome(reader, csv_path) == expected
