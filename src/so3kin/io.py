@@ -10,7 +10,10 @@
   truncated_span
 
 Numbers are serialized as 17-significant-digit decimals so doubles
-round-trip bit-exactly.  Lines starting with ``#`` are comments.  On
+round-trip bit-exactly: each is written as ``'%.17g' % x`` writes it
+(``-0`` as ``0``).  Tables are formatted in bulk in numpy; any cell whose
+digits the bulk path cannot certify is written by CPython's own ``%``.
+Lines starting with ``#`` are comments.  On
 read, a number is any token ``float()`` accepts, with ``float()``'s value;
 each body is converted in one ``np.loadtxt`` call, and a body that call
 refuses is walked line by line, so errors still name ``path:line``.
@@ -23,6 +26,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import numtext
 from .propagator import DriftReport, Interpolation, RateProfile, Trajectory
 
 __all__ = [
@@ -56,9 +60,7 @@ def fmt(x: float) -> str:
 
 def format_matrix(table) -> str:
     """Comma-joined rows of a 2-D table, one per line, each number as fmt writes it."""
-    table = np.asarray(table, dtype=float) + 0.0  # +0.0 normalizes -0.0
-    row = ",".join([NUMBER_FORMAT] * table.shape[1])
-    return "\n".join(row % values for values in map(tuple, table.tolist()))
+    return numtext.format_table(np.asarray(table, dtype=float) + 0.0)  # +0.0 normalizes -0.0
 
 
 def _read_rows(path, n_cols: int, header: Optional[str] = None):
@@ -139,17 +141,18 @@ def write_rate_profile(path, profile: RateProfile) -> None:
 
 
 def write_trajectory(path, traj: Trajectory, drift: DriftReport) -> None:
-    lines = [
+    header = "\n".join([
         "# so3kin trajectory",
         f"# method={traj.method}",
         f"# dt={fmt(traj.dt)}",
         f"# truncated_span={str(traj.truncated_span).lower()}",
         f"# degrees_input={str(traj.degrees_input).lower()}",
         TRAJECTORY_HEADER,
-        format_matrix(np.column_stack([traj.times, traj.matrices.reshape(len(traj), 9),
-                                       np.asarray(drift.per_sample)[:, 1:]])),
-    ]
-    Path(path).write_text("\n".join(lines) + "\n")
+    ])
+    body = format_matrix(np.column_stack([traj.times, traj.matrices.reshape(len(traj), 9),
+                                          np.asarray(drift.per_sample)[:, 1:]]))
+    with open(path, "w") as f:  # in parts, so the body is never copied into one string
+        f.writelines([header, "\n", body, "\n"])
 
 
 def read_trajectory(path) -> Trajectory:

@@ -3,14 +3,15 @@
 These deliberately avoid the code paths they check: matrix products are
 naive triple loops, the exponential is a truncated power series, and the
 nearest-rotation oracle goes through the SVD.  The CSV body oracle is the
-reader that converted each token with float() in a per-line loop.
+reader that converted each token with float() in a per-line loop, and the
+CSV table oracle is the writer that formatted each row with Python's %.
 """
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from so3kin.io import ParseError
+from so3kin.io import NUMBER_FORMAT, ParseError
 
 
 def matmul3(a, b):
@@ -112,3 +113,10 @@ def line_loop_rows(path, n_cols: int, header: Optional[str] = None):
     if header is not None and not rows:
         raise ParseError(f"{path}: no data rows")
     return metadata, np.array(rows)
+
+
+def percent_format_matrix(table) -> str:
+    """Comma-joined rows of a 2-D table, one per line, each number as fmt writes it."""
+    table = np.asarray(table, dtype=float) + 0.0  # +0.0 normalizes -0.0
+    row = ",".join([NUMBER_FORMAT] * table.shape[1])
+    return "\n".join(row % values for values in map(tuple, table.tolist()))

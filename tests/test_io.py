@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from so3kin import io as kio
+from so3kin import numtext
 from so3kin.core import RotationMatrix
 from so3kin.propagator import (
     DriftReport,
@@ -18,7 +19,7 @@ from so3kin.propagator import (
     propagate,
 )
 
-from oracles import line_loop_rows
+from oracles import line_loop_rows, percent_format_matrix
 
 
 @pytest.fixture
@@ -163,6 +164,83 @@ def test_fmt_round_trips_doubles():
     for x in rng.normal(size=100):
         assert float(kio.fmt(x)) == x
     assert float(kio.fmt(np.pi / 2000)) == np.pi / 2000
+
+
+def _quiet_nans(values):
+    # A signalling NaN makes "+ 0.0" warn in both writers; %.17g writes every NaN as "nan".
+    values = np.asarray(values, dtype=float)
+    return np.where(np.isnan(values), np.nan, values)
+
+
+def _by_rows(values, cols=12):
+    """values, their negatives and a NaN padding as a table of cols columns."""
+    values = np.concatenate([values, -values])
+    return np.append(values, [np.nan] * (-len(values) % cols)).reshape(-1, cols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), shape=st.sampled_from([(1, 1), (1, 3), (3, 3), (None, 4), (None, 12)]))
+def test_format_matrix_matches_percent_format(data, shape):
+    rows = shape[0] or data.draw(st.integers(1, 8))
+    values = data.draw(st.lists(st.floats(), min_size=rows * shape[1], max_size=rows * shape[1]))
+    table = _quiet_nans(values).reshape(rows, shape[1])
+    assert kio.format_matrix(table) == percent_format_matrix(table)
+
+
+def test_format_matrix_matches_percent_format_at_the_edges():
+    powers = np.array([float(f"1e{e}") for e in range(-324, 309)])
+    near = [powers]
+    for direction in (np.inf, 0.0):
+        step = powers
+        for _ in range(2):
+            step = np.nextafter(step, direction)
+            near.append(step)
+    ties = [k / 2.0 ** m for k in (1, 3, 5, 7, 123456789, 2 ** 52 + 1, 2 ** 53 - 1)
+            for m in range(80)]
+    ties += [1 + 2.0 ** -m for m in range(1, 53)] + [2.0 ** 50 + 0.25, 2.0 ** 50 + 0.75]
+    special = [1e-5, 1e-4, 1e16, 1e17, float("9" * 17), float("0." + "9" * 17),
+               2.2250738585072014e-308, 1.7976931348623157e308, 5e-324, 0.0, np.inf, np.nan]
+    values = np.concatenate(near + [ties, special, np.arange(-1000.0, 1001.0)])
+    for table in (_by_rows(values), _by_rows(values, 1), _by_rows(values, 3)):
+        assert kio.format_matrix(table) == percent_format_matrix(table)
+    assert kio.format_matrix([[1 + 2.0 ** -17, 2.0 ** 50 + 0.25]]) == \
+        "1.0000076293945312,1125899906842624.2"  # exact ties round half to even
+
+
+@pytest.mark.parametrize("shift", [-1.0, 1.0])
+def test_a_wrong_guess_of_the_exponent_takes_the_fallback(monkeypatch, shift):
+    # A log10 off by one in either direction (another libm) must cost speed, not digits.
+    rng = np.random.default_rng(3)
+    table = np.concatenate([10.0 ** rng.uniform(-30, 30, 600), [1.0, 10.0, 1e16, 1e17]])
+    expected = percent_format_matrix(_by_rows(table))
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: log10(a) + shift)
+    assert kio.format_matrix(_by_rows(table)) == expected
+
+
+def test_format_matrix_matches_percent_format_on_random_bit_patterns():
+    bits = np.random.default_rng(9).integers(0, 2 ** 64, size=200_004, dtype=np.uint64)
+    table = _quiet_nans(bits.view(np.float64)).reshape(-1, 12)
+    assert kio.format_matrix(table) == percent_format_matrix(table)
+
+
+def test_a_propagated_trajectory_is_formatted_in_bulk(tmp_path, monkeypatch):
+    """Only zeros and numbers of magnitude 1 or more may take the % fallback,
+    so a benchmark of the writer on such a table measures the bulk path."""
+    t = np.linspace(0.0, 0.5, 51)
+    profile = RateProfile(t, np.column_stack([np.sin(t), np.cos(2 * t), np.full_like(t, 0.5)]))
+    traj = propagate(RotationMatrix.identity(), profile, 1e-3, Method.EXPONENTIAL)
+    fallback, format_cells = [], numtext._format_cells
+
+    def spy(x):
+        cells, certified = format_cells(x)
+        fallback.extend(x[~certified])
+        return cells, certified
+
+    monkeypatch.setattr(numtext, "_format_cells", spy)
+    kio.write_trajectory(tmp_path / "traj.csv", traj, drift_report(traj))
+    assert len(traj) == 501
+    assert all(abs(v) >= 1.0 or v == 0.0 for v in fallback)
 
 
 def test_report_text_and_json_carry_same_values():
