@@ -52,7 +52,7 @@ def hat(v) -> SkewMatrix:
 
     hat((x, y, z)) = [[0, -z, y], [z, 0, -x], [-y, x, 0]]
     """
-    return SkewMatrix(as_vec3(v))
+    return SkewMatrix(v)
 
 
 def vee(s: SkewMatrix) -> np.ndarray:
@@ -122,14 +122,16 @@ def exp_so3(phi, tol: ToleranceConfig = DEFAULT_TOL) -> RotationMatrix:
 
 def exp_matrices(phis: np.ndarray) -> np.ndarray:
     """The Rodrigues formula of exp_so3 over (..., 3) finite axis-angle
-    vectors, giving (..., 3, 3) matrices without the SO(3) check."""
-    theta = row_norms(phis)[..., None, None]
-    t2 = theta * theta
-    with np.errstate(invalid="ignore", divide="ignore"):
+    vectors, giving (..., 3, 3) matrices without the SO(3) check.  A vector
+    whose squared norm overflows gives a non-finite matrix, silently: the
+    check rejects it."""
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        theta = row_norms(phis)[..., None, None]
+        t2 = theta * theta
         a = np.where(theta < _SMALL_ANGLE, 1.0 - t2 / 6.0, np.sin(theta) / theta)
         b = np.where(theta < _SMALL_ANGLE, 0.5 - t2 / 24.0, (1.0 - np.cos(theta)) / t2)
-    s = skew_matrices(phis)
-    return np.eye(3) + a * s + b * (s @ s)
+        s = skew_matrices(phis)
+        return np.eye(3) + a * s + b * (s @ s)
 
 
 def log_so3(r: RotationMatrix) -> np.ndarray:

@@ -189,10 +189,11 @@ def cmd_verify(args) -> int:
         max_residual=report.max_residual,
         estimated_order=report.estimated_order)], args)
 
-    if not (report.estimated_order >= MIN_ACCEPTED_ORDER and report.max_residual <= bound):
+    order = report.estimated_order  # None: zero residual at every stride, nothing to fit
+    if not ((order is None or order >= MIN_ACCEPTED_ORDER) and report.max_residual <= bound):
         k = int(np.argmax(report.per_sample[:, 1]))  # sample k + 1 of the finest grid
         print(f"verification failed: max_residual={report.max_residual:.3e} "
-              f"(bound {bound:.3e}), estimated_order={report.estimated_order}; "
+              f"(bound {bound:.3e}), estimated_order={order}; "
               f"worst at sample {min(strides) * (k + 1)} "
               f"(t = {float(report.per_sample[k, 0])})", file=sys.stderr)
         return 1

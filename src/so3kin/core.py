@@ -42,7 +42,6 @@ __all__ = [
     "Frame",
     "validate_rotation",
     "project_to_so3",
-    "polar_factor",
 ]
 
 
@@ -183,9 +182,6 @@ class RotationMatrix:
         """The inverse rotation (transpose)."""
         return RotationMatrix(self.matrix.T, self.tol)
 
-    def apply(self, v) -> np.ndarray:
-        return self.matrix @ as_vec3(v)
-
 
 @dataclass(frozen=True)
 class SkewMatrix:
@@ -265,22 +261,15 @@ def validate_rotation(m, tol: ToleranceConfig = DEFAULT_TOL) -> RotationMatrix:
 
 
 def project_to_so3(m, tol: ToleranceConfig = DEFAULT_TOL) -> RotationMatrix:
-    """Nearest rotation in Frobenius norm: the orthogonal polar factor.
+    """Nearest rotation in Frobenius norm: the orthogonal polar factor U V^T
+    of the SVD m = U S V^T.
 
     Requires det(m) > 0 so the orthogonal polar factor is a proper
-    rotation.
+    rotation; else raises NotProjectable.
     """
-    return RotationMatrix(polar_factor(as_mat3(m)), tol)
-
-
-def polar_factor(x: np.ndarray) -> np.ndarray:
-    """The orthogonal polar factor U V^T of a finite 3x3 array's SVD
-    x = U S V^T, without the final SO(3) check.
-
-    Raises NotProjectable for det <= 0.
-    """
+    x = as_mat3(m)
     det = float(np.linalg.det(x))
     if det <= 0.0:
         raise NotProjectable(f"det = {det:.3e} is not positive; no nearest rotation")
     u, _, vt = np.linalg.svd(x)
-    return u @ vt
+    return RotationMatrix(u @ vt, tol)

@@ -11,7 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import hat
+from .algebra import hat, log_so3
 from .core import RotationMatrix, So3Error, row_norms, skew_matrices
 from .propagator import NonUniformSampling, sample_rates, subsample, uniform_step
 
@@ -34,7 +34,8 @@ class TooFewSamples(So3Error):
 
 
 class DegenerateInput(So3Error):
-    """Convergence-order input has fewer than two distinct positive step sizes."""
+    """Convergence-order input has fewer than two distinct positive step sizes,
+    or a residual of exactly 0 at some step sizes but not all."""
 
 
 @dataclass(frozen=True)
@@ -44,7 +45,8 @@ class ResidualReport:
     per_sample is an (N, 2) array of (time, Frobenius residual) rows, one
     per interior sample.
     estimated_order is the log-log regression slope of residual vs step
-    size; it is None on the one-grid report of finite_difference_residual.
+    size; it is None on the one-grid report of finite_difference_residual
+    and when every residual is exactly 0.
     """
 
     max_residual: float
@@ -108,11 +110,14 @@ def residual_order_report(trajectory, profile, strides=(1, 2, 4)) -> ResidualRep
 
     Subsamples the trajectory by each integer stride (step size becomes
     stride * h), evaluates the residual at each, and regresses the maxima
-    to estimate the convergence order, so estimated_order is always set.
-    per_sample and max_residual refer to the finest (smallest stride) grid.
+    to estimate the convergence order.  When every maximum is exactly 0
+    (a trajectory at rest) there is no order to estimate and
+    estimated_order is None.  per_sample and max_residual refer to the
+    finest (smallest stride) grid.
 
     Raises DegenerateInput, naming the strides, unless they hold at least
-    two distinct values and all are positive.
+    two distinct values and all are positive, or when the maximum is 0 at
+    some strides but not all.
     """
     given = [int(s) for s in strides]
     strides = sorted(set(given))
@@ -120,8 +125,15 @@ def residual_order_report(trajectory, profile, strides=(1, 2, 4)) -> ResidualRep
         raise DegenerateInput(f"need at least two distinct positive strides, got {given}")
     reports = [finite_difference_residual(subsample(trajectory, s), profile) for s in strides]
     step_sizes = [rep.step_sizes[0] for rep in reports]
-    order = estimate_convergence_order(
-        [(h, rep.max_residual) for h, rep in zip(step_sizes, reports)])
+    zero = [s for s, rep in zip(strides, reports) if rep.max_residual == 0.0]
+    if len(zero) == len(strides):
+        order = None
+    elif zero:
+        raise DegenerateInput(f"max residual is exactly 0 at strides {zero} of {strides}: "
+                              f"no convergence order")
+    else:
+        order = estimate_convergence_order(
+            [(h, rep.max_residual) for h, rep in zip(step_sizes, reports)])
     return ResidualReport(max_residual=reports[0].max_residual,
                           per_sample=reports[0].per_sample,
                           step_sizes=step_sizes,
@@ -130,7 +142,5 @@ def residual_order_report(trajectory, profile, strides=(1, 2, 4)) -> ResidualRep
 
 def geodesic_distance(a: RotationMatrix, b: RotationMatrix) -> float:
     """Rotation angle separating two attitudes: ||log(a @ b^T)||."""
-    from .algebra import log_so3
-
     rel = RotationMatrix(a.matrix @ b.matrix.T, a.tol)
     return float(np.linalg.norm(log_so3(rel)))

@@ -12,8 +12,9 @@
 Numbers are serialized as 17-significant-digit decimals so doubles
 round-trip bit-exactly: each is written as ``'%.17g' % x`` writes it
 (``-0`` as ``0``).  Tables are formatted in bulk in numpy; any cell whose
-digits the bulk path cannot certify is written by CPython's own ``%``.
-Lines starting with ``#`` are comments.  On
+digits the bulk path cannot certify is written by CPython's own ``%``.  A
+file's body is written block by block as it is formatted, so its text is
+never held whole.  Lines starting with ``#`` are comments.  On
 read, a number is any token ``float()`` accepts, with ``float()``'s value;
 each body is converted in one ``np.loadtxt`` call, and a body that call
 refuses is walked line by line, so errors still name ``path:line``.
@@ -60,7 +61,15 @@ def fmt(x: float) -> str:
 
 def format_matrix(table) -> str:
     """Comma-joined rows of a 2-D table, one per line, each number as fmt writes it."""
-    return numtext.format_table(np.asarray(table, dtype=float) + 0.0)  # +0.0 normalizes -0.0
+    return "".join(numtext.format_table(np.asarray(table, dtype=float)))
+
+
+def _write_table(path, header: str, table: np.ndarray) -> None:
+    """Write header lines, then the table's text block by block as it is made."""
+    with open(path, "w") as f:
+        f.write(header + "\n")
+        f.writelines(numtext.format_table(table))
+        f.write("\n")
 
 
 def _read_rows(path, n_cols: int, header: Optional[str] = None):
@@ -136,8 +145,7 @@ def read_rate_profile(path, interpolation: Interpolation = Interpolation.LINEAR,
 
 
 def write_rate_profile(path, profile: RateProfile) -> None:
-    table = np.column_stack([profile.times, profile.omegas])
-    Path(path).write_text(f"{PROFILE_HEADER}\n{format_matrix(table)}\n")
+    _write_table(path, PROFILE_HEADER, np.column_stack([profile.times, profile.omegas]))
 
 
 def write_trajectory(path, traj: Trajectory, drift: DriftReport) -> None:
@@ -149,10 +157,8 @@ def write_trajectory(path, traj: Trajectory, drift: DriftReport) -> None:
         f"# degrees_input={str(traj.degrees_input).lower()}",
         TRAJECTORY_HEADER,
     ])
-    body = format_matrix(np.column_stack([traj.times, traj.matrices.reshape(len(traj), 9),
-                                          np.asarray(drift.per_sample)[:, 1:]]))
-    with open(path, "w") as f:  # in parts, so the body is never copied into one string
-        f.writelines([header, "\n", body, "\n"])
+    _write_table(path, header, np.column_stack([traj.times, traj.matrices.reshape(len(traj), 9),
+                                                np.asarray(drift.per_sample)[:, 1:]]))
 
 
 def read_trajectory(path) -> Trajectory:

@@ -3,8 +3,10 @@
 17 digits of each value are |x| * 10**(16-E) in double-double arithmetic
 (Dekker 1971), rounded to an int64, turned to ASCII by a table of 4-digit
 groups and laid out by per-layout byte masks as %g does.  A cell this
-cannot certify is written by Python's own '%.17g', so every byte is the
-one '%.17g' % x gives.
+cannot certify (every zero among them) is written by Python's own '%.17g',
+so every byte is the one '%.17g' % x gives, but for -0, written as 0.  The
+table is made and handed out block by block, so no caller need hold all of
+its text at once.
 """
 from __future__ import annotations
 
@@ -26,10 +28,11 @@ _E_MIN, _E_MAX = -270, 289  # exponents of the bulk path: 10**(16-E) and its tai
 _TIE_MARGIN = 1e-6          # far above the product's error, ~1e-14 of a unit
 
 
-def format_table(table: np.ndarray) -> str:
-    """Comma-joined rows of a 2-D float array, one per line, each number as
-    '%.17g' % x writes it."""
-    blocks = []
+def format_table(table: np.ndarray):
+    """The text of a 2-D float array, block by block: comma-joined rows, one
+    per line, each number as '%.17g' % x writes it (-0 as 0).  Every block
+    but the first starts with the newline that ends the row before it, so the
+    blocks joined are the table's lines without a final newline."""
     rows = max(1, _BLOCK_CELLS // max(1, table.shape[1]))
     for start in range(0, len(table), rows):
         x = table[start:start + rows].ravel()
@@ -38,11 +41,10 @@ def format_table(table: np.ndarray) -> str:
         if start == 0:
             cells[0, 0] = 0
         fallback = np.flatnonzero(~certified)
-        if fallback.size:
-            texts = ["%.17g" % v for v in x[fallback].tolist()]
+        if fallback.size:  # every zero is here: + 0.0 writes -0 as 0
+            texts = ["%.17g" % (v + 0.0) for v in x[fallback].tolist()]
             cells[fallback, 1:] = np.array(texts, dtype=f"S{_CELL - 1}")[:, None].view(np.uint8)
-        blocks.append(cells.tobytes().translate(None, b"\0").decode("ascii"))
-    return "".join(blocks)
+        yield cells.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _format_cells(x):

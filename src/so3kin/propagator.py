@@ -190,13 +190,22 @@ class DriftReport:
 
 def uniform_step(times: np.ndarray) -> float:
     """The step of a uniform time grid (at least 2 samples); raises
-    NonUniformSampling when any interval deviates from the mean by more
-    than 1e-12 * max(1, max|t|)."""
+    NonUniformSampling, naming the first bad sample, when a time is not
+    finite or an interval deviates from the mean by more than
+    1e-12 * max(1, max|t|)."""
+    finite = np.isfinite(times)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise NonUniformSampling(f"sample {k} (t = {float(times[k])}): time is not finite; "
+                                 "trajectory sample times must lie on a uniform grid")
     diffs = np.diff(times)
     h = float(np.mean(diffs))
     scale = max(1.0, float(np.max(np.abs(times))))
-    if np.max(np.abs(diffs - h)) > 1e-12 * scale:
-        raise NonUniformSampling("trajectory sample times deviate from a uniform grid")
+    off = np.abs(diffs - h) > 1e-12 * scale
+    if off.any():
+        k = int(np.argmax(off)) + 1
+        raise NonUniformSampling(f"sample {k} (t = {float(times[k])}): step {float(diffs[k - 1])} "
+                                 f"is off the mean step {h} of a uniform grid")
     return h
 
 
@@ -223,7 +232,7 @@ def sample_rates(profile: RateProfile, ts: np.ndarray) -> np.ndarray:
         t = float(ts[np.argmax(outside)])
         raise OutOfRange(f"t = {t} outside profile span [{t0}, {tf}]")
     ts = np.minimum(np.maximum(ts, t0), tf)
-    idx = np.clip(np.searchsorted(times, ts, side="right") - 1, 0, times.size - 1)
+    idx = np.searchsorted(times, ts, side="right") - 1  # ts >= times[0], so idx >= 0
     out = omegas[idx]
     if profile.interpolation is Interpolation.LINEAR:
         blend = idx < times.size - 1
@@ -235,8 +244,7 @@ def sample_rates(profile: RateProfile, ts: np.ndarray) -> np.ndarray:
 
 def step_exponential(r: RotationMatrix, omega, dt: float) -> RotationMatrix:
     """Exact flow of the rate identity for omega frozen over the step."""
-    _check_step(dt)
-    return RotationMatrix(exp_so3(dt * as_vec3(omega), r.tol).matrix @ r.matrix, r.tol)
+    return RotationMatrix(exp_so3(_rotation_vector(omega, dt), r.tol).matrix @ r.matrix, r.tol)
 
 
 def step_euler(r, omega, dt: float) -> np.ndarray:
@@ -255,19 +263,35 @@ def step_euler_renorm(r: RotationMatrix, omega, dt: float) -> RotationMatrix:
     exp increment, times R; one Newton-Schulz step then removes the
     product's roundoff.
     """
-    _check_step(dt)
-    inc = RotationMatrix(_polar_increments(dt * as_vec3(omega)), r.tol)
+    inc = RotationMatrix(_polar_increments(_rotation_vector(omega, dt)), r.tol)
     return RotationMatrix(_newton_polar(inc.matrix @ r.matrix), r.tol)
+
+
+def _rotation_vector(omega, dt: float) -> np.ndarray:
+    """dt * omega of one step; NonFinite when the product overflows."""
+    _check_step(dt)
+    with np.errstate(over="ignore"):
+        phi = dt * as_vec3(omega)
+    if not np.isfinite(phi).all():
+        raise NonFinite(f"rotation increment dt * w has non-finite components: {phi}")
+    return phi
 
 
 def _polar_increments(phis: np.ndarray) -> np.ndarray:
     """Polar factors of I + hat(phi) over (..., 3) finite vectors: the
-    rotations by atan|phi| about phi, without the SO(3) check."""
-    theta = row_norms(phis)[..., None]
-    with np.errstate(invalid="ignore", divide="ignore"):
+    rotations by atan|phi| about phi, without the SO(3) check.  Where
+    |phi|^2 overflows, atan|phi| rounds to pi/2 and the axis comes from phi
+    scaled by its largest component."""
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        theta = row_norms(phis)[..., None]
         scale = np.where(theta < _SMALL_ANGLE, 1.0 - theta * theta / 3.0,
                          np.arctan(theta) / theta)
-    return exp_matrices(scale * phis)
+    rotvecs = scale * phis
+    huge = np.isinf(theta[..., 0])
+    if huge.any():
+        axes = phis[huge] / np.max(np.abs(phis[huge]), axis=-1, keepdims=True)
+        rotvecs[huge] = (0.5 * np.pi) * axes / row_norms(axes)[..., None]
+    return exp_matrices(rotvecs)
 
 
 _THREE_I = 3.0 * np.eye(3)
@@ -305,7 +329,9 @@ def propagate(r0: RotationMatrix, profile: RateProfile, dt: float, method: Metho
 
     times = t0 + dt * np.arange(n_steps + 1)
     offset = 0.5 * dt if rate_sampling is RateSampling.MIDPOINT else 0.0
-    phis = dt * sample_rates(profile, t0 + np.arange(n_steps) * dt + offset)
+    phis = sample_rates(profile, t0 + np.arange(n_steps) * dt + offset)
+    with np.errstate(over="ignore"):  # an overflow is named just below
+        phis *= dt
     nonfinite = ~np.isfinite(phis).all(axis=1)
     if nonfinite.any():
         k = int(np.argmax(nonfinite))

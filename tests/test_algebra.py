@@ -84,6 +84,10 @@ class TestElementaryRotation:
         with pytest.raises(NonFinite):
             elementary_rotation(Axis.Z, np.inf)
 
+    def test_rejects_an_axis_that_is_not_an_axis(self):
+        with pytest.raises(ValueError, match="unknown axis: 'x'"):
+            elementary_rotation("x", 0.1)
+
 
 class TestRotationFromFrames:
     ref = Frame(np.array([1.0, 0, 0]), np.array([0, 1.0, 0]), np.array([0, 0, 1.0]))
@@ -246,6 +250,11 @@ class TestExpLog:
         phi = log_so3(exp_so3((0.0, 0.0, -np.pi)))
         assert phi[2] > 0.0
         assert abs(np.linalg.norm(phi) - np.pi) <= 1e-9
+
+    def test_log_exact_half_turn_flips_a_negative_first_component(self):
+        # 2 a a^T - I for a = (-0.6, 0.8, 0): symmetric, so sin(theta) is exactly 0
+        r = validate_rotation([[-0.28, -0.96, 0.0], [-0.96, 0.28, 0.0], [0.0, 0.0, -1.0]])
+        assert np.max(np.abs(log_so3(r) - np.pi * np.array([0.6, -0.8, 0.0]))) <= 1e-15
 
     def test_round_trip(self):
         rng = np.random.default_rng(7)

@@ -145,6 +145,39 @@ class TestVerifyCommand:
         assert results["deg"][0] == 0
         assert results["deg"][1] == pytest.approx(results["rad"][1], rel=1e-6)
 
+    @pytest.fixture
+    def stationary(self, tmp_path, capsys):
+        """(trajectory, profile) of a body at rest: w = 0 over [0, 1], dt 0.01."""
+        prof = tmp_path / "still.csv"
+        prof.write_text("t,wx,wy,wz\n0,0,0,0\n1,0,0,0\n")
+        out = tmp_path / "traj.csv"
+        assert run(["propagate", "--input", prof, "--dt", "0.01", "--output", out]) == 0
+        capsys.readouterr()
+        return out, prof
+
+    def test_stationary_trajectory_passes(self, stationary, capsys):
+        out, prof = stationary
+        assert run(["verify", "--trajectory", out, "--profile", prof, "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["max_residual"] == 0.0
+        assert report["estimated_order"] is None
+
+    # Sample 48 is on every stride's grid; sample 50 is not on stride 4's.
+    @pytest.mark.parametrize("sample, error", [
+        (48, "verification failed: "),
+        (50, "error: max residual is exactly 0 at strides [4] of [1, 2, 4]"),
+    ])
+    def test_stationary_trajectory_with_one_entry_moved_fails(self, stationary, capsys,
+                                                              sample, error):
+        out, prof = stationary
+        lines = out.read_text().splitlines()
+        row = lines[6 + sample].split(",")
+        row[1] = "1.001"
+        lines[6 + sample] = ",".join(row)
+        out.write_text("\n".join(lines) + "\n")
+        assert run(["verify", "--trajectory", out, "--profile", prof]) == 1
+        assert capsys.readouterr().err.startswith(error)
+
     @pytest.mark.parametrize("strides", ["1", "1,1"])
     def test_fewer_than_two_distinct_strides_exit_1(self, tmp_path, const_profile, capsys,
                                                     strides):
@@ -191,6 +224,21 @@ class TestVerifyCommand:
         capsys.readouterr()
         assert run(["verify", "--trajectory", out, "--profile", const_profile]) == 2
         assert "uniform" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("token", ["nan", "inf"])
+    def test_non_finite_time_exits_2_naming_the_sample(self, tmp_path, const_profile, capsys,
+                                                       token):
+        out = tmp_path / "traj.csv"
+        assert run(["propagate", "--input", const_profile, "--dt", "0.01",
+                    "--output", out]) == 0
+        lines = out.read_text().splitlines()
+        lines[6 + 50] = token + "," + lines[6 + 50].split(",", 1)[1]  # sample 50's time
+        out.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run(["verify", "--trajectory", out, "--profile", const_profile]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {out}: sample 50 (t = {token}): time is not finite; "
+            "trajectory sample times must lie on a uniform grid\n")
 
     def test_unparsable_dt_metadata_exits_2_naming_the_file(self, tmp_path, const_profile,
                                                             capsys):
@@ -295,6 +343,10 @@ class TestMatrixCommands:
         ident.write_text("1,0,0\n0,1,0\n0,0,1\n")
         assert run(["compose", refl, ident]) == 1
         assert "det" in capsys.readouterr().err
+
+    def test_exp_of_a_rate_too_large_to_square_is_one_error_line(self, capsys):
+        assert run(["exp", "1e300,0,0"]) == 1
+        assert capsys.readouterr().err == "error: matrix has non-finite entries\n"
 
     def test_exp_log_round_trip(self, tmp_path, capsys):
         assert run(["exp", "0.1,-0.2,0.3"]) == 0

@@ -15,6 +15,8 @@ from so3kin.core import (
     SkewMatrix,
     So3Error,
     ToleranceConfig,
+    as_mat3,
+    as_vec3,
     ortho_defect,
     project_to_so3,
     skew_from_matrix,
@@ -114,6 +116,16 @@ class TestValidateRotation:
         rng = np.random.default_rng(3)
         r = validate_rotation(random_rotation(rng))
         assert np.linalg.norm(r.inverse().matrix @ r.matrix - np.eye(3)) < 1e-14
+
+
+@pytest.mark.parametrize("coerce, value, message", [
+    (as_vec3, [1.0, 2.0], "expected 3 components, got shape (2,)"),
+    (as_mat3, np.eye(2), "expected a 3x3 matrix, got shape (2, 2)"),
+])
+def test_coercion_rejects_another_shape(coerce, value, message):
+    with pytest.raises(ValueError) as info:
+        coerce(value)
+    assert str(info.value) == message
 
 
 class TestSkewMatrix:

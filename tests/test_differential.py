@@ -226,6 +226,22 @@ class TestResidualOrderReport:
                 f"need at least two distinct positive strides, got {list(strides)}")):
             residual_order_report(traj, profile, strides)
 
+    def test_trajectory_at_rest_has_no_order(self):
+        profile = RateProfile.constant((0.0, 0.0, 0.0), 0.0, 1.0)
+        traj = exact_trajectory((0.0, 0.0, 0.0), 0.0, 1.0, 1e-2)
+        report = residual_order_report(traj, profile, strides=(1, 2, 4))
+        assert report.max_residual == 0.0
+        assert report.estimated_order is None
+
+    def test_zero_residual_at_some_strides_names_them(self):
+        profile = RateProfile.constant((0.0, 0.0, 0.0), 0.0, 1.0)
+        mats = np.tile(np.eye(3), (101, 1, 1))
+        mats[50, 0, 0] = 1.001  # off stride 4's grid
+        traj = Trajectory(np.arange(101) * 1e-2, mats, "exp", 1e-2)
+        with pytest.raises(DegenerateInput, match=re.escape(
+                "max residual is exactly 0 at strides [4] of [1, 2, 4]")):
+            residual_order_report(traj, profile, strides=(4, 2, 1))
+
     def test_exact_trajectory_order_two(self):
         profile = RateProfile.constant((0.0, 0.0, 1.0), 0.0, 1.0)
         traj = exact_trajectory((0.0, 0.0, 1.0), 0.0, 1.0, 1e-3)

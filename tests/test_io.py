@@ -75,6 +75,14 @@ def test_profile_bad_header(tmp_path):
         kio.read_rate_profile(path)
 
 
+def test_file_of_comments_only_is_missing_its_header(tmp_path):
+    path = tmp_path / "w.csv"
+    path.write_text("# x=1\n")
+    with pytest.raises(kio.ParseError) as info:
+        kio.read_rate_profile(path)
+    assert str(info.value) == f"{path}: missing header 't,wx,wy,wz'"
+
+
 def test_profile_bad_column_count(tmp_path):
     path = tmp_path / "w.csv"
     path.write_text("t,wx,wy,wz\n0,0,0\n")

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from so3kin.algebra import Axis, elementary_rotation, exp_so3
 from so3kin.core import (
+    NonFinite,
     NotOrthogonal,
     RotationMatrix,
     So3Error,
@@ -18,6 +21,7 @@ from so3kin.propagator import (
     EmptyProfile,
     Interpolation,
     Method,
+    NonUniformSampling,
     OutOfRange,
     RateProfile,
     RateSampling,
@@ -48,6 +52,11 @@ class TestRateProfile:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             RateProfile(np.array([0.0, 1.0]), np.array([[0, 0, np.nan], [0, 0, 0.0]]))
+
+    def test_rejects_omegas_of_another_shape(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "omegas shape (2, 2) does not match 2 samples")):
+            RateProfile(np.array([0.0, 1.0]), np.zeros((2, 2)))
 
     def test_copies_writable_input_and_is_read_only(self):
         times, omegas = np.array([0.0, 1.0]), np.ones((2, 3))
@@ -393,6 +402,55 @@ class TestPropagateValidation:
         assert drift_report(traj).max_ortho_err > 1e-6
 
 
+class TestHugeRates:
+    """Rates whose |dt * w|^2 overflows: no RuntimeWarning (the suite turns
+    one into an error), and a named error or a true rotation, never I."""
+
+    @staticmethod
+    def profile(rate, span):
+        return RateProfile(np.array([0.0, span]), np.array([[rate, 0.0, 0.0]] * 2))
+
+    def test_euler_renorm_step_turns_by_atan_of_the_increment(self):
+        out = step_euler_renorm(RotationMatrix.identity(), (1e300, 0.0, 0.0), 0.5)
+        assert np.max(np.abs(out.matrix - elementary_rotation(Axis.X, np.pi / 2).matrix)) \
+            <= 1e-15
+
+    def test_euler_renorm_step_keeps_the_axis_of_an_overflowing_increment(self):
+        out = step_euler_renorm(RotationMatrix.identity(), (-1.7e308, 1.7e308, 0.0), 1.0)
+        expected = exp_so3(np.pi / 2 * np.array([-1.0, 1.0, 0.0]) / np.sqrt(2.0))
+        assert np.max(np.abs(out.matrix - expected.matrix)) <= 1e-15
+
+    def test_euler_renorm_propagation_is_the_chain_of_its_steps(self):
+        traj = propagate(RotationMatrix.identity(), self.profile(1e300, 1.0), 0.5,
+                         Method.EULER_RENORM)
+        r = RotationMatrix.identity()
+        for k in range(2):
+            r = step_euler_renorm(r, (1e300, 0.0, 0.0), 0.5)
+            assert np.array_equal(traj.matrices[k + 1], r.matrix)
+        assert np.max(np.abs(traj.final() - elementary_rotation(Axis.X, np.pi).matrix)) \
+            <= 1e-15
+
+    def test_exponential_increment_is_named_non_finite(self):
+        with pytest.raises(NonFinite, match=re.escape(
+                "increment of step 0 (t = 0.0): matrix has non-finite entries")):
+            propagate(RotationMatrix.identity(), self.profile(1e300, 1.0), 0.5,
+                      Method.EXPONENTIAL)
+        with pytest.raises(NonFinite, match="matrix has non-finite entries"):
+            exp_so3((1e300, 0.0, 0.0))
+
+    @pytest.mark.parametrize("method", [Method.EXPONENTIAL, Method.EULER_RENORM])
+    def test_overflowing_dt_times_w_is_named_non_finite(self, method):
+        with pytest.raises(NonFinite, match=re.escape(
+                "step 0 (t = 0.0): rotation increment dt * w has non-finite components")):
+            propagate(RotationMatrix.identity(), self.profile(1e308, 2.0), 2.0, method)
+
+    @pytest.mark.parametrize("step", [step_exponential, step_euler_renorm])
+    def test_overflowing_dt_times_w_of_one_step_is_named_non_finite(self, step):
+        with pytest.raises(NonFinite, match=re.escape(
+                "rotation increment dt * w has non-finite components")):
+            step(RotationMatrix.identity(), (1e308, 0.0, 0.0), 2.0)
+
+
 class TestDriftReport:
     def test_exact_rotations_have_tiny_drift(self):
         times = np.linspace(0.0, 1.0, 11)
@@ -439,6 +497,12 @@ class TestSubsample:
         assert np.array_equal(half.times, traj.times[::2])
         assert np.array_equal(half.matrices, traj.matrices[::2])
 
+    def test_rejects_a_stride_below_one(self):
+        traj = propagate(RotationMatrix.identity(), RateProfile.constant((0.0, 0.0, 1.0), 0.0, 1.0),
+                         0.1, Method.EXPONENTIAL)
+        with pytest.raises(ValueError, match="stride must be >= 1, got 0"):
+            subsample(traj, 0)
+
     def test_shares_the_parent_arrays(self):
         profile = RateProfile.constant((0.0, 0.0, 1.0), 0.0, 1.0)
         traj = propagate(RotationMatrix.identity(), profile, 0.1, Method.EXPONENTIAL)
@@ -468,3 +532,22 @@ class TestTrajectory:
         assert np.shares_memory(traj.times, times)
         assert np.shares_memory(traj.matrices, mats)
 
+    def test_rejects_matrices_of_another_shape(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "matrices shape (3, 3, 3) does not match 2 samples")):
+            Trajectory(np.array([0.0, 0.1]), np.zeros((3, 3, 3)), "exp", 0.1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_time_naming_the_sample(self, bad):
+        times = np.arange(5) * 0.1
+        times[2] = bad
+        with pytest.raises(NonUniformSampling, match=re.escape(
+                f"sample 2 (t = {bad}): time is not finite; "
+                "trajectory sample times must lie on a uniform grid")):
+            Trajectory(times, np.tile(np.eye(3), (5, 1, 1)), "exp", 0.1)
+
+    def test_non_uniform_times_name_the_first_step_off_the_mean(self):
+        times = np.arange(11) * 0.1
+        times[4] = 0.42
+        with pytest.raises(NonUniformSampling, match=re.escape("sample 4 (t = 0.42): step ")):
+            Trajectory(times, np.tile(np.eye(3), (11, 1, 1)), "exp", 0.1)
