@@ -139,10 +139,22 @@ def first_non_rotation(mats: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL):
     the one that matrix alone would raise: NonFinite, NotOrthogonal or
     NotProperRotation (det <= 0), in that order.  The caller raises it.
     """
+    return _first_failure(*_membership_terms(mats), tol)
+
+
+def _membership_terms(mats: np.ndarray):
+    """(finite, defects, dets) of an (N, 3, 3) stack, one array each: the
+    terms of the SO(3) membership test, computed quietly where an entry is
+    not finite."""
     finite = np.isfinite(mats).all(axis=(1, 2))
     with np.errstate(invalid="ignore", over="ignore"):
         defects = ortho_defects(mats)
         dets = np.linalg.det(mats)
+    return finite, defects, dets
+
+
+def _first_failure(finite, defects, dets, tol: ToleranceConfig):
+    """first_non_rotation given the membership terms of the stack."""
     bad = ~finite | (defects > tol.ortho_tol) | (dets <= 0.0)
     if not bad.any():
         return None

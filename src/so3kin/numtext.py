@@ -6,19 +6,33 @@ groups and laid out by per-layout byte masks as %g does.  A cell this
 cannot certify (every zero among them) is written by Python's own '%.17g',
 so every byte is the one '%.17g' % x gives, but for -0, written as 0.  The
 table is made and handed out block by block, so no caller need hold all of
-its text at once.
+its text at once, and each block's byte arrays live in one scratch buffer
+that the next block, of this table or another, reuses.
 """
 from __future__ import annotations
 
+import collections
 import functools
 
 import numpy as np
 
-# Cells per block.  A block's scratch (~150 bytes a cell) stays below the
-# 128 KB glibc keeps free at the top of the heap, so no block grows the heap
-# for the next free to trim; a block that did would fault in every page of
-# its scratch afresh, a cost that moves with the host's load.
-_BLOCK_CELLS = 768
+# Cells per block (256 rows of a trajectory).  Each block pays ~110 us of
+# fixed numpy call overhead, so fewer blocks are faster until a block's
+# arrays make the heap grow and shrink block by block, faulting in every page
+# afresh at a cost that moves with the host's load.  Median minor page
+# faults per benchmark pass (cone_exp / method_all, getrusage around
+# cli.main, 2-core x86-64 VM, glibc malloc): 768 cells with fresh arrays
+# 0 / 0; 3072 cells with fresh arrays 189 / 559; 3072 cells with the byte
+# arrays in the reused scratch buffer 0 / 0; 6144 cells even so 98 / 520, as
+# _round17's float temporaries (~115 bytes a cell) still come from malloc.
+_BLOCK_CELLS = 3072
+# Scratch bytes per cell: cells 32, masks 32 (the 4-digit groups use their
+# first 16 until the masks are made), digit text 32 (+ 8 a buffer).  The pool
+# keeps one buffer; a block takes it and puts it back once its bytes are
+# copied, so no two blocks (interleaved tables, threads) share one, and a
+# block that finds none makes its own.
+_SCRATCH_PER_CELL = 96
+_POOL = collections.deque(maxlen=1)
 # A cell is 32 bytes: 0 the separator before it, 1 the sign, 2-6 "0.000",
 # 7-23 the digits (one byte right after a point), 27-28 "e+", 29-31 the
 # exponent.  Unused bytes are NUL and are deleted at the end.
@@ -44,17 +58,38 @@ def format_table(table: np.ndarray):
         if fallback.size:  # every zero is here: + 0.0 writes -0 as 0
             texts = ["%.17g" % (v + 0.0) for v in x[fallback].tolist()]
             cells[fallback, 1:] = np.array(texts, dtype=f"S{_CELL - 1}")[:, None].view(np.uint8)
-        yield cells.tobytes().translate(None, b"\0").decode("ascii")
+        text = cells.tobytes().translate(None, b"\0").decode("ascii")
+        _POOL.append(cells.base)  # its bytes are copied: the scratch can serve the next block
+        yield text
+
+
+def _scratch(n):
+    """A scratch buffer for n cells: the pooled one if it is large enough."""
+    try:
+        buf = _POOL.pop()
+        if buf.size >= _SCRATCH_PER_CELL * n + 8:
+            return buf
+    except IndexError:  # none yet, or another thread's block holds it
+        pass
+    return np.empty(_SCRATCH_PER_CELL * max(n, _BLOCK_CELLS) + 8, np.uint8)
 
 
 def _format_cells(x):
     """(cells, certified) of a 1-D float array; a certified cell holds ','
-    and the '%.17g' text of its value."""
+    and the '%.17g' text of its value.  The cells are a view of a scratch
+    buffer taken from the pool (cells.base), for the caller to put back."""
+    n = x.size
+    buf = _scratch(n)
+    cap = (buf.size - 8) // _SCRATCH_PER_CELL  # regions at fixed offsets, 16-byte aligned
+    cells = buf[:_CELL * n]
+    mask = buf[_CELL * cap:_CELL * (cap + n)].view(f"V{_CELL}")
+    groups = buf[_CELL * cap:_CELL * cap + 16 * n].view(np.uint16).reshape(n, _CELL // 4)
+    text = buf[64 * cap:64 * cap + 8 + _CELL * n]  # from byte 7 it reads one byte right
     digits, e, certified = _round17(x)
     _, quad, sig, layout36, (same, moved, const) = _tables()
     hi = (digits // 10 ** 8).astype(np.uint32)  # digits 1-9; lo holds 10-17
     lo = (digits - hi * np.int64(10 ** 8)).astype(np.uint32)
-    groups = np.zeros((x.size, _CELL // 4), np.uint16)  # one per 4 bytes of a cell
+    # One group per 4 bytes of a cell; groups 0 and 6 fall under no mask.
     groups[:, 1], rest = np.divmod(hi, 10 ** 8)
     groups[:, 2], groups[:, 3] = np.divmod(rest, 10 ** 4)
     groups[:, 4], groups[:, 5] = np.divmod(lo, 10 ** 4)
@@ -62,18 +97,16 @@ def _format_cells(x):
     nd = np.maximum(np.maximum(1 + sig[groups[:, 2]], 5 + sig[groups[:, 3]]),
                     np.maximum(9 + sig[groups[:, 4]], 13 + sig[groups[:, 5]]))
     cls = layout36[e - _E_MIN] + 2 * np.maximum(nd, 1) + (x < 0)
-    text = np.empty(8 + x.size * _CELL, np.uint8)  # from byte 7 it reads one byte right
     quad.take(groups, out=text[8:].view(np.uint32).reshape(groups.shape), mode="clip")
-    del groups
-    cells = const.take(cls).view(np.uint8)
-    mask = same.take(cls)
+    const.take(cls, out=cells.view(f"V{_CELL}"), mode="clip")
+    same.take(cls, out=mask, mode="clip")
     bits = mask.view(np.uint8)
     bits &= text[8:]
     cells |= bits
     moved.take(cls, out=mask, mode="clip")
     bits &= text[7:-1]
     cells |= bits
-    return cells.reshape(x.size, _CELL), certified
+    return cells.reshape(n, _CELL), certified
 
 
 def _round17(x):

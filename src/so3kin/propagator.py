@@ -11,12 +11,13 @@ Three steppers integrate dR/dt = hat(w) @ R:
   X <- X (3I - X^T X) / 2, removes only the roundoff of the product.
 
 Euler trajectories store the raw drifted matrices; the drift is the
-measurement, not an error.
+measurement, not an error.  Only a sample that overflows to a non-finite
+entry is an error.
 """
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -25,6 +26,8 @@ from .core import (
     NonFinite,
     RotationMatrix,
     So3Error,
+    _first_failure,
+    _membership_terms,
     as_vec3,
     first_non_rotation,
     ortho_defects,
@@ -143,7 +146,9 @@ class Trajectory:
 
     Matrices are raw stepper output; for the Euler method they may have
     drifted off SO(3).  degrees_input records that the rates it was
-    propagated from were read in deg/s.
+    propagated from were read in deg/s.  drift is the DriftReport of these
+    samples when it is already known (propagate measures it while checking
+    the chain), else None and drift_report measures it.
     """
 
     times: np.ndarray
@@ -152,14 +157,15 @@ class Trajectory:
     dt: float
     truncated_span: bool = False
     degrees_input: bool = False
+    drift: DriftReport | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         times = _read_only(np.asarray(self.times, dtype=float).reshape(-1))
         mats = _read_only(np.asarray(self.matrices, dtype=float))
         if times.size == 0 or mats.shape != (times.size, 3, 3):
             raise ValueError(f"matrices shape {mats.shape} does not match {times.size} samples")
-        if times.size > 1:
-            uniform_step(times)
+        if times.size > 1 or not np.isfinite(times[0]):
+            uniform_step(times)  # it names a non-finite time before it needs two samples
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "matrices", mats)
 
@@ -250,9 +256,9 @@ def step_exponential(r: RotationMatrix, omega, dt: float) -> RotationMatrix:
 def step_euler(r, omega, dt: float) -> np.ndarray:
     """First-order step (I + hat(dt * omega)) @ R; output is a plain matrix
     whose orthogonality defect grows as dt^2."""
-    _check_step(dt)
+    phi = _rotation_vector(omega, dt)
     m = r.matrix if isinstance(r, RotationMatrix) else np.asarray(r, dtype=float)
-    return (np.eye(3) + skew_matrices(dt * as_vec3(omega))) @ m
+    return (np.eye(3) + skew_matrices(phi)) @ m
 
 
 def step_euler_renorm(r: RotationMatrix, omega, dt: float) -> RotationMatrix:
@@ -344,27 +350,35 @@ def propagate(r0: RotationMatrix, profile: RateProfile, dt: float, method: Metho
     else:
         increments = np.eye(3) + skew_matrices(phis)
 
-    # Only the chain R[k+1] = E[k] @ R[k] is serial.
+    # Only the chain R[k+1] = E[k] @ R[k] is serial.  A raw euler chain can
+    # overflow; the first non-finite sample is named just below.
     mats = np.empty((n_steps + 1, 3, 3))
     mats[0] = r0.matrix
-    for inc, cur, nxt in zip(increments, mats[:-1], mats[1:]):
-        np.dot(inc, cur, out=nxt)
-        if method is Method.EULER_RENORM:
-            nxt[...] = _newton_polar(nxt)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for inc, cur, nxt in zip(increments, mats[:-1], mats[1:]):
+            np.dot(inc, cur, out=nxt)
+            if method is Method.EULER_RENORM:
+                nxt[...] = _newton_polar(nxt)
+    # One pass over the samples serves both the check and the drift report.
+    finite, defects, dets = _membership_terms(mats)
     if method is not Method.EULER:
-        _check_chain(increments, mats, times, r0.tol)
+        _check_chain(increments, finite[1:], defects[1:], dets[1:], times, r0.tol)
+    elif not finite.all():
+        k = int(np.argmin(finite))
+        raise NonFinite(f"sample {k} (t = {float(times[k])}): matrix has non-finite entries")
 
     times.flags.writeable = False
     mats.flags.writeable = False
     return Trajectory(times=times, matrices=mats, method=method.value, dt=dt,
-                      truncated_span=truncated)
+                      truncated_span=truncated, drift=_drift(times, defects, dets))
 
 
-def _check_chain(increments, mats, times, tol) -> None:
+def _check_chain(increments, finite, defects, dets, times, tol) -> None:
     """Raise the SO(3) error that checking each step in turn meets first:
-    step k checks its increment, then the sample k + 1 it produced.  The
-    message names the index and time."""
-    sample = first_non_rotation(mats[1:], tol)
+    step k checks its increment, then the sample k + 1 it produced, whose
+    membership terms are finite[k], defects[k] and dets[k].  The message
+    names the index and time."""
+    sample = _first_failure(finite, defects, dets, tol)
     inc = first_non_rotation(increments, tol)
     if inc is not None and (sample is None or inc[0] <= sample[0]):
         k, error = inc
@@ -381,13 +395,22 @@ def subsample(traj: Trajectory, stride: int) -> Trajectory:
     if stride == 1:
         return traj
     return replace(traj, times=traj.times[::stride], matrices=traj.matrices[::stride],
-                   dt=traj.dt * stride)
+                   dt=traj.dt * stride, drift=None)
 
 
 def drift_report(traj: Trajectory) -> DriftReport:
-    """Measure orthogonality and determinant drift at every sample."""
-    ortho = ortho_defects(traj.matrices)
-    det = np.abs(np.linalg.det(traj.matrices) - 1.0)
-    return DriftReport(per_sample=np.column_stack([traj.times, ortho, det]),
-                       max_ortho_err=float(ortho.max()),
+    """Orthogonality and determinant drift at every sample: the trajectory's
+    own drift when propagate measured it, else measured here."""
+    if traj.drift is not None:
+        return traj.drift
+    return _drift(traj.times, ortho_defects(traj.matrices), np.linalg.det(traj.matrices))
+
+
+def _drift(times, defects, dets) -> DriftReport:
+    """The DriftReport of samples at times with these ortho defects and dets;
+    its per_sample array is read-only, as the report may be shared."""
+    det = np.abs(dets - 1.0)
+    per_sample = np.column_stack([times, defects, det])
+    per_sample.flags.writeable = False
+    return DriftReport(per_sample=per_sample, max_ortho_err=float(defects.max()),
                        max_det_err=float(det.max()))

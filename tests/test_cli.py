@@ -69,6 +69,16 @@ class TestPropagateCommand:
         assert np.linalg.norm(traj.final() - expected) <= 1e-9
         assert "# degrees_input=true" in out.read_text()
 
+    def test_euler_overflow_is_one_error_line(self, tmp_path, capsys):
+        prof = tmp_path / "huge.csv"
+        prof.write_text("t,wx,wy,wz\n0,1e300,0,0\n1,1e300,0,0\n")
+        out = tmp_path / "traj.csv"
+        assert run(["propagate", "--input", prof, "--dt", "0.5", "--method", "euler",
+                    "--output", out]) == 1
+        assert capsys.readouterr().err == \
+            "error: sample 2 (t = 1.0): matrix has non-finite entries\n"
+        assert not out.exists()
+
     def test_initial_attitude(self, tmp_path, const_profile, capsys):
         init = tmp_path / "r0.csv"
         init.write_text("0,-1,0\n1,0,0\n0,0,1\n")
@@ -238,6 +248,15 @@ class TestVerifyCommand:
         assert run(["verify", "--trajectory", out, "--profile", const_profile]) == 2
         assert capsys.readouterr().err == (
             f"error: {out}: sample 50 (t = {token}): time is not finite; "
+            "trajectory sample times must lie on a uniform grid\n")
+
+    def test_non_finite_time_of_a_single_sample_exits_2_naming_it(self, tmp_path,
+                                                                 const_profile, capsys):
+        out = tmp_path / "traj.csv"
+        out.write_text("# dt=0.01\n" + kio.TRAJECTORY_HEADER + "\nnan,1,0,0,0,1,0,0,0,1,0,0\n")
+        assert run(["verify", "--trajectory", out, "--profile", const_profile]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {out}: sample 0 (t = nan): time is not finite; "
             "trajectory sample times must lie on a uniform grid\n")
 
     def test_unparsable_dt_metadata_exits_2_naming_the_file(self, tmp_path, const_profile,

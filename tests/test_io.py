@@ -1,4 +1,7 @@
+import itertools
 import re
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -249,6 +252,78 @@ def test_a_propagated_trajectory_is_formatted_in_bulk(tmp_path, monkeypatch):
     kio.write_trajectory(tmp_path / "traj.csv", traj, drift_report(traj))
     assert len(traj) == 501
     assert all(abs(v) >= 1.0 or v == 0.0 for v in fallback)
+
+
+def _block_table(rows, cols, seed=0):
+    """rows x cols of values of every magnitude the writer meets, zeros and
+    negatives included (zeros take the % fallback)."""
+    rng = np.random.default_rng(seed)
+    table = rng.normal(size=(rows, cols)) * 10.0 ** rng.integers(-20, 20, size=(rows, cols))
+    table[rng.random(size=table.shape) < 0.05] = 0.0
+    return table
+
+
+@pytest.mark.parametrize("cols", [1, 3, 4, 12])
+@pytest.mark.parametrize("blocks", [1, 2])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_tables_at_the_block_boundaries_match_percent_format(cols, blocks, offset):
+    rows = blocks * (numtext._BLOCK_CELLS // cols) + offset
+    table = _block_table(rows, cols, seed=rows)
+    assert kio.format_matrix(table) == percent_format_matrix(table)
+
+
+def test_interleaved_tables_match_percent_format():
+    # Each block takes the one pooled scratch buffer and puts it back before
+    # it is handed out, so two tables made block by block in turn stay apart.
+    rows = 2 * (numtext._BLOCK_CELLS // 12) + 1
+    tables = [_block_table(rows, 12, seed=1), _block_table(3 * rows, 4, seed=2)]
+    texts = [[], []]
+    gens = [numtext.format_table(t) for t in tables]
+    for pair in itertools.zip_longest(*gens):
+        for text, block in zip(texts, pair):
+            if block is not None:
+                text.append(block)
+    assert [len(t) for t in texts] == [3, 3]
+    for text, table in zip(texts, tables):
+        assert "".join(text) == percent_format_matrix(table)
+
+
+def test_a_row_wider_than_a_block_and_the_tables_after_it_match_percent_format():
+    for table in (_block_table(2, numtext._BLOCK_CELLS + 5, seed=3), _block_table(40, 3, seed=4),
+                  _block_table(numtext._BLOCK_CELLS // 12 + 1, 12, seed=5)):
+        assert kio.format_matrix(table) == percent_format_matrix(table)
+
+
+def test_tables_formatted_on_many_threads_match_percent_format():
+    # More threads than cores, switching often: a block whose scratch buffer
+    # another thread could take before its bytes are copied would mix tables.
+    tables = [_block_table(700, 12, seed=s) for s in range(16)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            texts = list(pool.map(kio.format_matrix, tables, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert texts == [percent_format_matrix(t) for t in tables]
+
+
+def test_a_trajectory_file_is_written_in_two_blocks(tmp_path, monkeypatch):
+    t = np.linspace(0.0, 0.5, 51)
+    profile = RateProfile(t, np.column_stack([np.sin(t), np.cos(2 * t), np.full_like(t, 0.5)]))
+    traj = propagate(RotationMatrix.identity(), profile, 1e-3, Method.EXPONENTIAL)
+    blocks, format_table = [], numtext.format_table
+
+    def spy(table):
+        for block in format_table(table):
+            blocks.append(block)
+            yield block
+
+    monkeypatch.setattr(numtext, "format_table", spy)
+    path = tmp_path / "traj.csv"
+    kio.write_trajectory(path, traj, drift_report(traj))
+    assert len(blocks) == 2
+    assert path.read_text().endswith("".join(blocks) + "\n")
 
 
 def test_report_text_and_json_carry_same_values():

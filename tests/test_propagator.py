@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from so3kin import core, propagator
 from so3kin.algebra import Axis, elementary_rotation, exp_so3
 from so3kin.core import (
     NonFinite,
@@ -13,6 +14,7 @@ from so3kin.core import (
     So3Error,
     ToleranceConfig,
     ortho_defect,
+    ortho_defects,
     validate_rotation,
 )
 from so3kin.differential import finite_difference_residual, geodesic_distance
@@ -450,6 +452,23 @@ class TestHugeRates:
                 "rotation increment dt * w has non-finite components")):
             step(RotationMatrix.identity(), (1e308, 0.0, 0.0), 2.0)
 
+    def test_overflowing_dt_times_w_of_one_euler_step_is_named_non_finite(self):
+        with pytest.raises(NonFinite, match=re.escape(
+                "rotation increment dt * w has non-finite components")):
+            step_euler(np.eye(3), (1e308, 0.0, 0.0), 2.0)
+
+    def test_euler_chain_that_overflows_names_its_first_non_finite_sample(self):
+        # The increments I + hat(5e299 x) are finite; their square is not.
+        with pytest.raises(NonFinite, match=re.escape(
+                "sample 2 (t = 1.0): matrix has non-finite entries")):
+            propagate(RotationMatrix.identity(), self.profile(1e300, 1.0), 0.5, Method.EULER)
+
+    def test_finite_euler_samples_of_a_huge_rate_are_kept(self):
+        # The drift is the measurement: a finite sample far off SO(3) is no error.
+        traj = propagate(RotationMatrix.identity(), self.profile(1e300, 0.5), 0.5, Method.EULER)
+        assert traj.matrices[1, 2, 1] == 5e299
+        assert drift_report(traj).max_ortho_err > 1e300
+
 
 class TestDriftReport:
     def test_exact_rotations_have_tiny_drift(self):
@@ -486,6 +505,55 @@ class TestDriftReport:
             assert t == time
             assert ortho == ortho_defect(m)
             assert det == abs(np.linalg.det(m) - 1.0)
+
+
+class TestDriftOfAPropagatedTrajectory:
+    profile = RateProfile(np.linspace(0.0, 1.0, 11),
+                          np.column_stack([np.sin(np.arange(11.0)), np.cos(np.arange(11.0)),
+                                           np.full(11, 0.5)]))
+
+    @staticmethod
+    def fresh(traj):
+        return np.column_stack([traj.times, ortho_defects(traj.matrices),
+                                np.abs(np.linalg.det(traj.matrices) - 1.0)])
+
+    @pytest.mark.parametrize("method", list(Method))
+    def test_is_the_fresh_measurement_bit_for_bit(self, method):
+        traj = propagate(RotationMatrix.identity(), self.profile, 1e-3, method)
+        drift = drift_report(traj)
+        assert drift is traj.drift
+        assert np.array_equal(drift.per_sample.view(np.uint64),
+                              self.fresh(traj).view(np.uint64))
+        assert drift.max_ortho_err == drift.per_sample[:, 1].max()
+        assert drift.max_det_err == drift.per_sample[:, 2].max()
+
+    @pytest.mark.parametrize("method", list(Method))
+    def test_a_subsampled_trajectory_measures_its_own(self, method):
+        traj = subsample(propagate(RotationMatrix.identity(), self.profile, 1e-3, method), 3)
+        assert traj.drift is None
+        drift = drift_report(traj)
+        assert len(drift.per_sample) == len(traj) == 334
+        assert np.array_equal(drift.per_sample, self.fresh(traj))
+
+    def test_samples_are_measured_once(self, monkeypatch):
+        """propagate then drift_report make one defect and one det pass over
+        the samples; the increments get their own check."""
+        seen = {"ortho_defects": [], "det": []}
+
+        def counting(name, fn):
+            def spy(mats):
+                seen[name].append(mats)
+                return fn(mats)
+            return spy
+
+        for module in (core, propagator):
+            monkeypatch.setattr(module, "ortho_defects",
+                                counting("ortho_defects", core.ortho_defects))
+        monkeypatch.setattr(np.linalg, "det", counting("det", np.linalg.det))
+        traj = propagate(RotationMatrix.identity(), self.profile, 1e-3, Method.EXPONENTIAL)
+        drift_report(traj)
+        for name, args in seen.items():
+            assert sum(np.shares_memory(a, traj.matrices) for a in args) == 1, name
 
 
 class TestSubsample:
@@ -545,6 +613,12 @@ class TestTrajectory:
                 f"sample 2 (t = {bad}): time is not finite; "
                 "trajectory sample times must lie on a uniform grid")):
             Trajectory(times, np.tile(np.eye(3), (5, 1, 1)), "exp", 0.1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_the_non_finite_time_of_a_single_sample(self, bad):
+        with pytest.raises(NonUniformSampling, match=re.escape(
+                f"sample 0 (t = {bad}): time is not finite")):
+            Trajectory(np.array([bad]), np.eye(3)[None], "exp", 0.1)
 
     def test_non_uniform_times_name_the_first_step_off_the_mean(self):
         times = np.arange(11) * 0.1
