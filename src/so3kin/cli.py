@@ -33,6 +33,9 @@ from .propagator import (
 RESIDUAL_BOUND_FACTOR = 10.0
 MIN_ACCEPTED_ORDER = 1.8
 
+# argparse reads "-1,2,3" as an option; "--" ends the options.
+_AFTER_DASHES = "; put -- before it when its first component is negative"
+
 
 def residual_bound(profile: RateProfile, h: float) -> float:
     wmax = float(np.max(np.linalg.norm(profile.omegas, axis=1)))
@@ -80,11 +83,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("hat", help="skew matrix of a vector")
-    p.add_argument("vector", help="comma-separated 'x,y,z'")
+    p.add_argument("vector", help="comma-separated 'x,y,z'" + _AFTER_DASHES)
     p.set_defaults(func=cmd_hat)
 
     p = sub.add_parser("vee", help="vector of a skew matrix")
-    p.add_argument("matrix", help="9 comma-separated entries, row-major")
+    p.add_argument("matrix", help="9 comma-separated entries, row-major" + _AFTER_DASHES)
     _tolerance_flags(p)
     p.set_defaults(func=cmd_vee)
 
@@ -95,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compose)
 
     p = sub.add_parser("exp", help="exponential map of an axis-angle vector")
-    p.add_argument("vector", help="comma-separated 'x,y,z' (radians)")
+    p.add_argument("vector", help="comma-separated 'x,y,z' (radians)" + _AFTER_DASHES)
     _tolerance_flags(p)
     p.set_defaults(func=cmd_exp)
 

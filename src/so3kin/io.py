@@ -17,7 +17,8 @@ file's body is written block by block as it is formatted, so its text is
 never held whole.  Lines starting with ``#`` are comments.  On
 read, a number is any token ``float()`` accepts, with ``float()``'s value;
 each body is converted in one ``np.loadtxt`` call, and a body that call
-refuses is walked line by line, so errors still name ``path:line``.
+refuses is walked line by line, so errors still name ``path:line``.  A
+trajectory's rotation entries must be finite.
 """
 from __future__ import annotations
 
@@ -166,6 +167,11 @@ def read_trajectory(path) -> Trajectory:
     data.flags.writeable = False  # the Trajectory holds its columns without a copy
     times = data[:, 0]
     mats = data[:, 1:10].reshape(-1, 3, 3)
+    finite = np.isfinite(data[:, 1:10])
+    if not finite.all():
+        k, j = divmod(int(np.argmin(finite)), 9)  # the first in file order
+        raise ParseError(f"{path}:{_body_line(path, k)}: rotation entry r{j // 3 + 1}{j % 3 + 1}"
+                         f" = {data[k, 1 + j]} is not finite")
     if "dt" in metadata:
         try:
             dt = float(metadata["dt"])
@@ -182,6 +188,14 @@ def read_trajectory(path) -> Trajectory:
                           degrees_input=metadata.get("degrees_input", "false") == "true")
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from None
+
+
+def _body_line(path, k: int) -> int:
+    """The line number of body row k of a CSV with a header line: the
+    (k + 1)-th line after the header that is neither blank nor a comment."""
+    content = [lineno for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1)
+               if (line := raw.strip()) and not line.startswith("#")]
+    return content[k + 1]
 
 
 def read_matrix(path) -> np.ndarray:

@@ -7,8 +7,8 @@ Three steppers integrate dR/dt = hat(w) @ R:
 * euler_renorm: the Euler step followed by polar projection back onto SO(3).
   The polar factor of I + hat(phi) is the rotation by atan|phi| about phi,
   and polar(A @ R) = polar(A) @ R for orthogonal R, so each step is that
-  closed-form increment times R; one Newton-Schulz step per sample,
-  X <- X (3I - X^T X) / 2, removes only the roundoff of the product.
+  closed-form increment times R; one batched Newton-Schulz step over the
+  chained samples, X <- X (3I - X^T X) / 2, removes only their roundoff.
 
 Euler trajectories store the raw drifted matrices; the drift is the
 measurement, not an error.  Only a sample that overflows to a non-finite
@@ -267,7 +267,8 @@ def step_euler_renorm(r: RotationMatrix, omega, dt: float) -> RotationMatrix:
     Since polar(A @ R) = polar(A) @ R for orthogonal R, the step is the
     closed-form polar factor of I + hat(dt * omega), validated like the
     exp increment, times R; one Newton-Schulz step then removes the
-    product's roundoff.
+    product's roundoff.  propagate corrects the uncorrected chain's samples
+    instead, so a chain of these steps is within 1e-14 of it, not bit for bit.
     """
     inc = RotationMatrix(_polar_increments(_rotation_vector(omega, dt)), r.tol)
     return RotationMatrix(_newton_polar(inc.matrix @ r.matrix), r.tol)
@@ -304,9 +305,9 @@ _THREE_I = 3.0 * np.eye(3)
 
 
 def _newton_polar(x: np.ndarray) -> np.ndarray:
-    """One Newton-Schulz step towards the polar factor of a near-orthogonal
-    3x3 array: x (3I - x^T x) / 2."""
-    return np.dot(x, _THREE_I - np.dot(x.T, x)) * 0.5
+    """One Newton-Schulz step towards the polar factor of each near-orthogonal
+    3x3 matrix of a (..., 3, 3) stack: x (3I - x^T x) / 2."""
+    return np.matmul(x, _THREE_I - np.matmul(np.swapaxes(x, -1, -2), x)) * 0.5
 
 
 def _check_step(dt: float) -> None:
@@ -357,8 +358,8 @@ def propagate(r0: RotationMatrix, profile: RateProfile, dt: float, method: Metho
     with np.errstate(over="ignore", invalid="ignore"):
         for inc, cur, nxt in zip(increments, mats[:-1], mats[1:]):
             np.dot(inc, cur, out=nxt)
-            if method is Method.EULER_RENORM:
-                nxt[...] = _newton_polar(nxt)
+    if method is Method.EULER_RENORM:
+        mats[1:] = _newton_polar(mats[1:])
     # One pass over the samples serves both the check and the drift report.
     finite, defects, dets = _membership_terms(mats)
     if method is not Method.EULER:

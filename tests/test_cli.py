@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from so3kin import io as kio
+from so3kin.algebra import exp_so3
 from so3kin.cli import main
 from so3kin.propagator import RateProfile
 
@@ -259,6 +260,21 @@ class TestVerifyCommand:
             f"error: {out}: sample 0 (t = nan): time is not finite; "
             "trajectory sample times must lie on a uniform grid\n")
 
+    def test_non_finite_rotation_entry_exits_2_naming_its_line(self, tmp_path, const_profile,
+                                                              capsys):
+        out = tmp_path / "traj.csv"
+        assert run(["propagate", "--input", const_profile, "--dt", "0.1",
+                    "--output", out]) == 0
+        lines = out.read_text().splitlines()
+        row = lines[9].split(",")  # file line 10, sample 3
+        row[5] = "nan"
+        lines[9] = ",".join(row)
+        out.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run(["verify", "--trajectory", out, "--profile", const_profile]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {out}:10: rotation entry r22 = nan is not finite\n")
+
     def test_unparsable_dt_metadata_exits_2_naming_the_file(self, tmp_path, const_profile,
                                                             capsys):
         out = tmp_path / "traj.csv"
@@ -316,6 +332,21 @@ class TestMatrixCommands:
     def test_hat_zero(self, capsys):
         assert run(["hat", "0,0,0"]) == 0
         assert capsys.readouterr().out == "0,0,0\n0,0,0\n0,0,0\n"
+
+    def test_hat_of_a_negative_first_component_after_dashes(self, capsys):
+        assert run(["hat", "--", "-1,2,3"]) == 0
+        assert capsys.readouterr().out == "0,-3,2\n3,0,1\n-2,-1,0\n"
+
+    def test_exp_of_a_negative_first_component_after_dashes(self, capsys):
+        assert run(["exp", "--", "-0.1,0,0"]) == 0
+        assert capsys.readouterr().out == kio.format_matrix(
+            exp_so3((-0.1, 0.0, 0.0)).matrix) + "\n"
+
+    @pytest.mark.parametrize("command", ["hat", "vee", "exp"])
+    def test_help_says_dashes_go_before_a_negative_first_component(self, command, capsys):
+        with pytest.raises(SystemExit):
+            run([command, "--help"])
+        assert "put -- before it" in " ".join(capsys.readouterr().out.split())
 
     def test_hat_arity_error(self, capsys):
         assert run(["hat", "1,2"]) == 1

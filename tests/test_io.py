@@ -143,6 +143,19 @@ def test_trajectory_rows_are_fmt_of_every_value(tmp_path):
     assert "-0" not in tokens and tokens.count("0") == 8
 
 
+@pytest.mark.parametrize("token", ["nan", "-inf", "1e500"])
+def test_a_non_finite_rotation_entry_names_its_line(tmp_path, token):
+    rows = ["0,1,0,0,0,1,0,0,0,1,0,0", "0.5,1,0,0,0,1,0,0,0,1,0,0",
+            f"1,1,0,0,0,1,{token},0,0,1,0,0", "1.5,1,0,0,0,1,0,0,nan,1,0,0"]
+    path = tmp_path / "traj.csv"
+    path.write_text("# dt=0.5\n\n" + kio.TRAJECTORY_HEADER + "\n" + rows[0] + "\n# k=v\n"
+                    + "\n".join(rows[1:]) + "\n")
+    value = float(token)
+    with pytest.raises(kio.ParseError) as exc:
+        kio.read_trajectory(path)
+    assert str(exc.value) == f"{path}:7: rotation entry r23 = {value} is not finite"
+
+
 def test_matrix_file_round_trip(tmp_path):
     m = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
     path = tmp_path / "m.csv"

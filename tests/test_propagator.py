@@ -243,6 +243,19 @@ class TestPropagate:
             traj = propagate(RotationMatrix.identity(), profile, 1e-3, Method.EULER_RENORM)
             assert drift_report(traj).max_ortho_err <= 1e-14
 
+    def test_euler_renorm_stays_at_roundoff_on_forty_random_spins(self):
+        # the random constant rates on which exp ends 16 of 40 above 1e-12:
+        # correcting each sample of the uncorrected chain once holds all 40
+        rng = np.random.default_rng(1)
+        worst = 0.0
+        for _ in range(40):
+            axis = rng.normal(size=3)
+            w = rng.uniform(0.2, 3.0) * axis / np.linalg.norm(axis)
+            profile = RateProfile.constant(w, 0.0, 10.0)
+            traj = propagate(RotationMatrix.identity(), profile, 1e-3, Method.EULER_RENORM)
+            worst = max(worst, drift_report(traj).max_ortho_err)
+        assert worst <= 1e-14
+
     def test_span_truncation(self):
         profile = RateProfile.constant((0.0, 0.0, 1.0), 0.0, 1.05)
         traj = propagate(RotationMatrix.identity(), profile, 0.1, Method.EXPONENTIAL)
@@ -318,6 +331,33 @@ def public_chain(r0, profile, dt, method, sampling, n_steps):
     return np.array(mats)
 
 
+def newton_reference(x):
+    """One Newton-Schulz step on one 3x3 sample: x (3I - x^T x) / 2."""
+    return np.dot(x, 3.0 * np.eye(3) - np.dot(x.T, x)) * 0.5
+
+
+def renorm_reference(r0, profile, dt, sampling, n_steps):
+    """propagate's euler_renorm output, one sample at a time: the closed-form
+    increments of the public sample_rate chained with np.dot, then one
+    Newton-Schulz step on each sample.  A chain of step_euler_renorm calls,
+    which corrects every step, stays within 1e-14 of it."""
+    offset = 0.5 * dt if sampling is RateSampling.MIDPOINT else 0.0
+    t0 = profile.span[0]
+    raw = [r0.matrix]
+    for k in range(n_steps):
+        w = sample_rate(profile, t0 + k * dt + offset)
+        raw.append(np.dot(_polar_increments(dt * w), raw[-1]))
+    return np.array([r0.matrix] + [newton_reference(x) for x in raw[1:]])
+
+
+def expected_chain(r0, profile, dt, method, sampling, n_steps):
+    """What propagate must reproduce bit for bit: the chain of public steps,
+    or for euler_renorm the per-sample reference."""
+    if method is Method.EULER_RENORM:
+        return renorm_reference(r0, profile, dt, sampling, n_steps)
+    return public_chain(r0, profile, dt, method, sampling, n_steps)
+
+
 class TestPropagateMatchesPublicSteps:
     rng = np.random.default_rng(12)
     knots = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, 9)), [1.0]])
@@ -332,14 +372,14 @@ class TestPropagateMatchesPublicSteps:
         traj = propagate(r0, profile, 1e-3, method, sampling)
         assert len(traj) == 1001
         assert np.array_equal(traj.matrices,
-                              public_chain(r0, profile, 1e-3, method, sampling, 1000))
+                              expected_chain(r0, profile, 1e-3, method, sampling, 1000))
 
     @pytest.mark.parametrize("method", list(Method))
     def test_truncated_span(self, method):
         profile = RateProfile(np.array([0.0, 0.4, 1.05]), self.rates[:3])
         traj = propagate(RotationMatrix.identity(), profile, 0.1, method)
         assert traj.truncated_span and len(traj) == 11
-        assert np.array_equal(traj.matrices, public_chain(
+        assert np.array_equal(traj.matrices, expected_chain(
             RotationMatrix.identity(), profile, 0.1, method, RateSampling.START, 10))
 
     @pytest.mark.parametrize("method", list(Method))
@@ -349,31 +389,59 @@ class TestPropagateMatchesPublicSteps:
         profile = RateProfile(knots, self.rates[:6])
         traj = propagate(RotationMatrix.identity(), profile, 0.1, method)
         assert not traj.truncated_span and traj.times[-1] == pytest.approx(0.5)
-        assert np.array_equal(traj.matrices, public_chain(
+        assert np.array_equal(traj.matrices, expected_chain(
             RotationMatrix.identity(), profile, 0.1, method, RateSampling.START, 5))
 
+    @pytest.mark.parametrize("interp", list(Interpolation))
+    @pytest.mark.parametrize("sampling", list(RateSampling))
+    def test_euler_renorm_step_chain_stays_within_1e_14(self, interp, sampling):
+        # step_euler_renorm corrects every step; propagate corrects each
+        # sample of the uncorrected chain once
+        profile = RateProfile(self.knots, self.rates, interp)
+        r0 = validate_rotation(random_rotation(np.random.default_rng(13)))
+        traj = propagate(r0, profile, 1e-3, Method.EULER_RENORM, sampling)
+        steps = public_chain(r0, profile, 1e-3, Method.EULER_RENORM, sampling, 1000)
+        assert np.max(np.abs(traj.matrices - steps)) <= 1e-14
 
-PUBLIC_STEPS = {
-    Method.EXPONENTIAL: (exp_so3, step_exponential),
-    Method.EULER_RENORM: (lambda phi, tol: RotationMatrix(_polar_increments(phi), tol),
-                          step_euler_renorm),
+    @pytest.mark.parametrize("n_steps", [1, 10, 1000])
+    def test_euler_renorm_corrects_all_samples_in_one_call(self, monkeypatch, n_steps):
+        calls = []
+
+        def counting(x):
+            calls.append(x.shape)
+            return newton_polar(x)
+
+        newton_polar = propagator._newton_polar
+        monkeypatch.setattr(propagator, "_newton_polar", counting)
+        profile = RateProfile.constant((0.3, -0.2, 1.0), 0.0, 1.0)
+        propagate(RotationMatrix.identity(), profile, 1.0 / n_steps, Method.EULER_RENORM)
+        assert calls == [(n_steps, 3, 3)]
+
+
+PUBLIC_INCREMENTS = {
+    Method.EXPONENTIAL: exp_so3,
+    Method.EULER_RENORM: lambda phi, tol: RotationMatrix(_polar_increments(phi), tol),
 }
 
 
 def first_public_failure(r0, profile, dt, n_steps, method):
     """Message prefix and error type of the first check the step-by-step
-    public path fails: step k checks its increment, as the public step_*
-    call builds it, then the sample k + 1 that call produces."""
-    increment, step = PUBLIC_STEPS[method]
-    state = r0
+    path fails: step k checks its increment, as the public step_* call
+    builds it, then the sample k + 1: the one step_exponential produces, or
+    for euler_renorm the one renorm_reference corrects."""
+    state, raw = r0, r0.matrix
     for k in range(n_steps):
         w = sample_rate(profile, k * dt)
         try:
-            increment(dt * w, r0.tol)
+            inc = PUBLIC_INCREMENTS[method](dt * w, r0.tol)
         except So3Error as exc:
             return f"increment of step {k} (t = {k * dt}): ", type(exc)
         try:
-            state = step(state, w, dt)
+            if method is Method.EXPONENTIAL:
+                state = step_exponential(state, w, dt)
+            else:
+                raw = np.dot(inc.matrix, raw)
+                RotationMatrix(newton_reference(raw), r0.tol)
         except So3Error as exc:
             return f"sample {k + 1} (t = {(k + 1) * dt}): ", type(exc)
     return None
