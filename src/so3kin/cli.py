@@ -135,6 +135,14 @@ def _emit_reports(reports: list[dict], args) -> None:
         print("\n\n".join(kio.format_report_text(r) for r in reports))
 
 
+def _rotation_file(path, tol: ToleranceConfig):
+    """The rotation in a matrix file; an SO(3) failure names the file."""
+    try:
+        return validate_rotation(kio.read_matrix(path), tol)
+    except So3Error as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
 def _method_output_path(base: str, method: Method) -> Path:
     path = Path(base)
     return path.with_name(f"{path.stem}.{method.value}{path.suffix}")
@@ -148,7 +156,7 @@ def cmd_propagate(args) -> int:
     profile = kio.read_rate_profile(args.input, Interpolation(args.interp),
                                     degrees=args.degrees)
     if args.initial:
-        r0 = validate_rotation(kio.read_matrix(args.initial), tol)
+        r0 = _rotation_file(args.initial, tol)
     else:
         r0 = validate_rotation(np.eye(3), tol)
 
@@ -217,8 +225,8 @@ def cmd_vee(args) -> int:
 
 def cmd_compose(args) -> int:
     tol = _tol(args)
-    first = validate_rotation(kio.read_matrix(args.first), tol)
-    second = validate_rotation(kio.read_matrix(args.second), tol)
+    first = _rotation_file(args.first, tol)
+    second = _rotation_file(args.second, tol)
     _emit("matrix", compose_fixed(first, second).matrix, args)
     return 0
 
@@ -229,7 +237,7 @@ def cmd_exp(args) -> int:
 
 
 def cmd_log(args) -> int:
-    r = validate_rotation(kio.read_matrix(args.matrix), _tol(args))
+    r = _rotation_file(args.matrix, _tol(args))
     _emit("vector", log_so3(r), args)
     return 0
 

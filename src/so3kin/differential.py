@@ -117,12 +117,16 @@ def residual_order_report(trajectory, profile, strides=(1, 2, 4)) -> ResidualRep
 
     Raises DegenerateInput, naming the strides, unless they hold at least
     two distinct values and all are positive, or when the maximum is 0 at
-    some strides but not all.
+    some strides but not all; TooFewSamples, naming the largest stride, when
+    it leaves fewer than 3 samples.
     """
     given = [int(s) for s in strides]
     strides = sorted(set(given))
     if len(strides) < 2 or strides[0] < 1:
         raise DegenerateInput(f"need at least two distinct positive strides, got {given}")
+    n, s = len(trajectory.times), strides[-1]
+    if (kept := (n - 1) // s + 1) < 3:
+        raise TooFewSamples(f"stride {s} leaves {kept} of {n} samples; need at least 3")
     reports = [finite_difference_residual(subsample(trajectory, s), profile) for s in strides]
     step_sizes = [rep.step_sizes[0] for rep in reports]
     zero = [s for s, rep in zip(strides, reports) if rep.max_residual == 0.0]

@@ -16,9 +16,11 @@ digits the bulk path cannot certify is written by CPython's own ``%``.  A
 file's body is written block by block as it is formatted, so its text is
 never held whole.  Lines starting with ``#`` are comments.  On
 read, a number is any token ``float()`` accepts, with ``float()``'s value;
-each body is converted in one ``np.loadtxt`` call, and a body that call
-refuses is walked line by line, so errors still name ``path:line``.  A
-trajectory's rotation entries must be finite.
+each body is converted in one ``np.loadtxt`` call.  A profile's values and
+a trajectory's rotation entries must be finite.  A body that call refuses,
+or that holds a non-finite value where one must be finite, is walked line
+by line, which rejects the first bad line in file order and names
+``path:line``.
 """
 from __future__ import annotations
 
@@ -73,10 +75,11 @@ def _write_table(path, header: str, table: np.ndarray) -> None:
         f.write("\n")
 
 
-def _read_rows(path, n_cols: int, header: Optional[str] = None):
+def _read_rows(path, n_cols: int, header: Optional[str] = None, finite=slice(0), label=""):
     """(metadata, rows) of a CSV of n_cols numbers per line, after the header
-    if one is given (then at least one row is required).  ``# key=value``
-    comments fill metadata.  Errors name ``path:line``."""
+    if one is given (then at least one row is required).  The finite columns
+    must be finite; an error names such a value by label + its header name.
+    ``# key=value`` comments fill metadata.  Errors name ``path:line``."""
     metadata: dict[str, str] = {}
     linenos: list[int] = []
     lines: list[str] = []
@@ -108,32 +111,36 @@ def _read_rows(path, n_cols: int, header: Optional[str] = None):
     # no non-ASCII digits) but for one character: it strips U+001F around a
     # number, which float() rejects, so a text holding one takes the line
     # walk.  comments=None keeps "1#c" a bad token.  A body loadtxt refuses,
-    # or reads to another shape, is walked line by line, which raises at the
-    # first bad line in file order.
+    # reads to another shape or with a finite column not finite, is walked
+    # line by line, which raises at the first bad line in file order.
     if lines and "\x1f" not in text:
         try:
             data = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None)
         except ValueError:
             pass
         else:
-            if data.shape == (len(lines), n_cols):
+            if data.shape == (len(lines), n_cols) and np.isfinite(data[:, finite]).all():
                 return metadata, data
+    names = (header or "").split(",")
     rows: list[list[float]] = []
     for lineno, line in zip(linenos, lines):
         parts = line.split(",")
         if len(parts) != n_cols:
             raise ParseError(f"{path}:{lineno}: expected {n_cols} columns, got {len(parts)}")
         try:
-            rows.append([float(p) for p in parts])
+            rows.append(row := [float(p) for p in parts])
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from None
+        for j in range(n_cols)[finite]:
+            if not np.isfinite(row[j]):
+                raise ParseError(f"{path}:{lineno}: {label}{names[j]} = {row[j]} is not finite")
     return metadata, np.array(rows)
 
 
 def read_rate_profile(path, interpolation: Interpolation = Interpolation.LINEAR,
                       degrees: bool = False) -> RateProfile:
     """Read a rate profile CSV; with degrees=True rates are converted deg/s -> rad/s."""
-    _, data = _read_rows(path, 4, PROFILE_HEADER)
+    _, data = _read_rows(path, 4, PROFILE_HEADER, slice(0, 4))
     data.flags.writeable = False  # the RateProfile holds its columns without a copy
     omegas = data[:, 1:4]
     if degrees:
@@ -163,15 +170,10 @@ def write_trajectory(path, traj: Trajectory, drift: DriftReport) -> None:
 
 
 def read_trajectory(path) -> Trajectory:
-    metadata, data = _read_rows(path, 12, TRAJECTORY_HEADER)
+    metadata, data = _read_rows(path, 12, TRAJECTORY_HEADER, slice(1, 10), "rotation entry ")
     data.flags.writeable = False  # the Trajectory holds its columns without a copy
     times = data[:, 0]
     mats = data[:, 1:10].reshape(-1, 3, 3)
-    finite = np.isfinite(data[:, 1:10])
-    if not finite.all():
-        k, j = divmod(int(np.argmin(finite)), 9)  # the first in file order
-        raise ParseError(f"{path}:{_body_line(path, k)}: rotation entry r{j // 3 + 1}{j % 3 + 1}"
-                         f" = {data[k, 1 + j]} is not finite")
     if "dt" in metadata:
         try:
             dt = float(metadata["dt"])
@@ -188,14 +190,6 @@ def read_trajectory(path) -> Trajectory:
                           degrees_input=metadata.get("degrees_input", "false") == "true")
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from None
-
-
-def _body_line(path, k: int) -> int:
-    """The line number of body row k of a CSV with a header line: the
-    (k + 1)-th line after the header that is neither blank nor a comment."""
-    content = [lineno for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1)
-               if (line := raw.strip()) and not line.startswith("#")]
-    return content[k + 1]
 
 
 def read_matrix(path) -> np.ndarray:

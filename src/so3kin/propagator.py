@@ -124,8 +124,10 @@ class RateProfile:
             raise ValueError(f"omegas shape {omegas.shape} does not match {times.size} samples")
         if not (np.all(np.isfinite(times)) and np.all(np.isfinite(omegas))):
             raise ValueError("rate profile contains non-finite values")
-        if times.size > 1 and np.any(np.diff(times) <= 0.0):
-            raise ValueError("sample times must be strictly increasing")
+        if times.size > 1 and (back := np.diff(times) <= 0.0).any():
+            k = int(np.argmax(back)) + 1
+            raise ValueError(f"sample {k} (t = {float(times[k])}): "
+                             "sample times must be strictly increasing")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "omegas", omegas)
 

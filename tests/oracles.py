@@ -3,9 +3,11 @@
 These deliberately avoid the code paths they check: matrix products are
 naive triple loops, the exponential is a truncated power series, and the
 nearest-rotation oracle goes through the SVD.  The CSV body oracle is the
-reader that converted each token with float() in a per-line loop, and the
-CSV table oracle is the writer that formatted each row with Python's %.
+reader that converted each token with float() in a per-line loop (and
+checked each row's finite columns there), and the CSV table oracle is the
+writer that formatted each row with Python's %.
 """
+import math
 from pathlib import Path
 from typing import Optional
 
@@ -80,10 +82,11 @@ def two_tolerance_membership(m, ortho_tol):
     return None
 
 
-def line_loop_rows(path, n_cols: int, header: Optional[str] = None):
+def line_loop_rows(path, n_cols: int, header: Optional[str] = None, finite=slice(0), label=""):
     """(metadata, rows) of a CSV of n_cols numbers per line, after the header
-    if one is given (then at least one row is required).  ``# key=value``
-    comments fill metadata.  Errors name ``path:line``."""
+    if one is given (then at least one row is required).  The finite columns
+    must be finite; an error names such a value by label + its header name.
+    ``# key=value`` comments fill metadata.  Errors name ``path:line``."""
     metadata: dict[str, str] = {}
     rows: list[list[float]] = []
     expect_header = header is not None
@@ -105,9 +108,13 @@ def line_loop_rows(path, n_cols: int, header: Optional[str] = None):
         if len(parts) != n_cols:
             raise ParseError(f"{path}:{lineno}: expected {n_cols} columns, got {len(parts)}")
         try:
-            rows.append([float(p) for p in parts])
+            row = [float(p) for p in parts]
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from None
+        for name, value in zip(header.split(",")[finite] if header else [], row[finite]):
+            if not math.isfinite(value):
+                raise ParseError(f"{path}:{lineno}: {label}{name} = {value} is not finite")
+        rows.append(row)
     if expect_header:
         raise ParseError(f"{path}: missing header '{header}'")
     if header is not None and not rows:

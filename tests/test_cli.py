@@ -80,6 +80,30 @@ class TestPropagateCommand:
             "error: sample 2 (t = 1.0): matrix has non-finite entries\n"
         assert not out.exists()
 
+    def test_a_non_finite_rate_is_one_error_line_naming_its_line(self, tmp_path, capsys):
+        prof = tmp_path / "nanw.csv"
+        prof.write_text("t,wx,wy,wz\n0,0,0,1\n1,0,0,1\n2,nan,0,1\n3,0,0,1\n")
+        out = tmp_path / "traj.csv"
+        assert run(["propagate", "--input", prof, "--dt", "0.1", "--output", out]) == 2
+        assert capsys.readouterr().err == f"error: {prof}:4: wx = nan is not finite\n"
+        assert not out.exists()
+
+    def test_decreasing_times_name_the_sample(self, tmp_path, capsys):
+        prof = tmp_path / "dec.csv"
+        prof.write_text("t,wx,wy,wz\n0,0,0,1\n0.5,0,0,1\n0.4,0,0,1\n")
+        assert run(["propagate", "--input", prof, "--dt", "0.1",
+                    "--output", tmp_path / "traj.csv"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {prof}: sample 2 (t = 0.4): sample times must be strictly increasing\n")
+
+    def test_initial_attitude_off_so3_names_its_file(self, tmp_path, const_profile, capsys):
+        init = tmp_path / "r0.csv"
+        init.write_text("1,1,0\n0,1,0\n0,0,1\n")
+        assert run(["propagate", "--input", const_profile, "--dt", "0.01",
+                    "--initial", init, "--output", tmp_path / "traj.csv"]) == 1
+        assert re.fullmatch(re.escape(f"error: {init}: ||M^T M - I||_F = ") + r".* exceeds .*\n",
+                            capsys.readouterr().err)
+
     def test_initial_attitude(self, tmp_path, const_profile, capsys):
         init = tmp_path / "r0.csv"
         init.write_text("0,-1,0\n1,0,0\n0,0,1\n")
@@ -286,6 +310,17 @@ class TestVerifyCommand:
         assert capsys.readouterr().err == (
             f"error: {out}: dt metadata: could not convert string to float: 'abc'\n")
 
+    def test_a_stride_leaving_too_few_samples_names_itself(self, tmp_path, const_profile,
+                                                          capsys):
+        out = tmp_path / "traj.csv"
+        assert run(["propagate", "--input", const_profile, "--dt", "0.002",
+                    "--output", out]) == 0
+        capsys.readouterr()
+        assert run(["verify", "--trajectory", out, "--profile", const_profile,
+                    "--strides", "1,400"]) == 1
+        assert capsys.readouterr().err == \
+            "error: stride 400 leaves 2 of 501 samples; need at least 3\n"
+
     def test_bad_token_exits_2_naming_its_line(self, tmp_path, const_profile, capsys):
         out = tmp_path / "traj.csv"
         assert run(["propagate", "--input", const_profile, "--dt", "0.1",
@@ -393,6 +428,17 @@ class TestMatrixCommands:
         ident.write_text("1,0,0\n0,1,0\n0,0,1\n")
         assert run(["compose", refl, ident]) == 1
         assert "det" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, files", [("compose", ["bad.csv", "i.csv"]),
+                                                ("compose", ["i.csv", "bad.csv"]),
+                                                ("log", ["bad.csv"])])
+    def test_a_matrix_file_off_so3_is_named(self, tmp_path, capsys, command, files):
+        (tmp_path / "bad.csv").write_text("1,1,0\n0,1,0\n0,0,1\n")
+        (tmp_path / "i.csv").write_text("1,0,0\n0,1,0\n0,0,1\n")
+        assert run([command] + [tmp_path / name for name in files]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path / 'bad.csv'}: ||M^T M - I||_F = ")
+        assert err.count("\n") == 1
 
     def test_exp_of_a_rate_too_large_to_square_is_one_error_line(self, capsys):
         assert run(["exp", "1e300,0,0"]) == 1

@@ -226,6 +226,15 @@ class TestResidualOrderReport:
                 f"need at least two distinct positive strides, got {list(strides)}")):
             residual_order_report(traj, profile, strides)
 
+    def test_a_stride_leaving_too_few_samples_names_itself(self):
+        profile = RateProfile.constant((0.0, 0.0, 1.0), 0.0, 1.0)
+        traj = exact_trajectory((0.0, 0.0, 1.0), 0.0, 1.0, 1e-2)
+        assert len(traj) == 101
+        assert residual_order_report(traj, profile, strides=(1, 50)).estimated_order is not None
+        with pytest.raises(TooFewSamples) as exc:
+            residual_order_report(traj, profile, strides=(1, 70, 60, 50))
+        assert str(exc.value) == "stride 70 leaves 2 of 101 samples; need at least 3"
+
     def test_trajectory_at_rest_has_no_order(self):
         profile = RateProfile.constant((0.0, 0.0, 0.0), 0.0, 1.0)
         traj = exact_trajectory((0.0, 0.0, 0.0), 0.0, 1.0, 1e-2)

@@ -156,6 +156,36 @@ def test_a_non_finite_rotation_entry_names_its_line(tmp_path, token):
     assert str(exc.value) == f"{path}:7: rotation entry r23 = {value} is not finite"
 
 
+@pytest.mark.parametrize("token", ["nan", "-inf", "1e500"])
+def test_a_non_finite_rate_names_its_line(tmp_path, token):
+    path = tmp_path / "w.csv"
+    path.write_text(f"t,wx,wy,wz\n0,0,0,1\n\n{token},1,0,1\n# k=v\n2,0,0,1\n")
+    with pytest.raises(kio.ParseError) as exc:
+        kio.read_rate_profile(path)
+    assert str(exc.value) == f"{path}:4: t = {float(token)} is not finite"
+    path.write_text(f"t,wx,wy,wz\n0,0,0,1\n# k=v\n1,{token},0,1\n2,0,0,{token}\n")
+    with pytest.raises(kio.ParseError) as exc:
+        kio.read_rate_profile(path)
+    assert str(exc.value) == f"{path}:4: wx = {float(token)} is not finite"
+
+
+@pytest.mark.parametrize("read, header, row, nan_col, name", [
+    (kio.read_rate_profile, kio.PROFILE_HEADER, "{t},0,0,1", 1, "wx"),
+    (kio.read_trajectory, kio.TRAJECTORY_HEADER, "{t},1,0,0,0,1,0,0,0,1,0,0", 5,
+     "rotation entry r22"),
+], ids=["profile", "trajectory"])
+def test_a_non_finite_value_before_a_bad_token_is_reported_first(tmp_path, read, header, row,
+                                                                    nan_col, name):
+    body = [row.format(t=k).split(",") for k in range(7)]
+    body[1][nan_col] = "nan"  # file line 4
+    body[4][2] = "x"  # file line 7
+    path = tmp_path / "f.csv"
+    path.write_text("# dt=1\n" + header + "\n" + "\n".join(map(",".join, body)) + "\n")
+    with pytest.raises(kio.ParseError) as exc:
+        read(path)
+    assert str(exc.value) == f"{path}:4: {name} = nan is not finite"
+
+
 def test_matrix_file_round_trip(tmp_path):
     m = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
     path = tmp_path / "m.csv"
@@ -514,14 +544,16 @@ def csv_path(tmp_path_factory):
     return tmp_path_factory.mktemp("bodies") / "f.csv"
 
 
-@pytest.mark.parametrize("n_cols, header", [(4, kio.PROFILE_HEADER), (12, kio.TRAJECTORY_HEADER),
-                                            (3, None)], ids=["profile", "trajectory", "matrix"])
+@pytest.mark.parametrize("n_cols, header, finite", [
+    (4, kio.PROFILE_HEADER, slice(0, 4)), (12, kio.TRAJECTORY_HEADER, slice(1, 10)),
+    (3, None, slice(0)),
+], ids=["profile", "trajectory", "matrix"])
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
-def test_read_rows_matches_the_line_loop(csv_path, n_cols, header, data):
+def test_read_rows_matches_the_line_loop(csv_path, n_cols, header, finite, data):
     csv_path.write_text(data.draw(_csv_text(n_cols, header, time_column=False)))
-    expected = _outcome(lambda p: line_loop_rows(p, n_cols, header), csv_path)
-    assert _outcome(lambda p: kio._read_rows(p, n_cols, header), csv_path) == expected
+    expected = _outcome(lambda p: line_loop_rows(p, n_cols, header, finite), csv_path)
+    assert _outcome(lambda p: kio._read_rows(p, n_cols, header, finite), csv_path) == expected
 
 
 @pytest.mark.parametrize("reader, n_cols, header", [

@@ -55,6 +55,14 @@ class TestRateProfile:
         with pytest.raises(ValueError):
             RateProfile(np.array([0.0, 1.0]), np.array([[0, 0, np.nan], [0, 0, 0.0]]))
 
+    @pytest.mark.parametrize("times, k, t", [([0.0, 0.5, 0.4], 2, 0.4),
+                                             ([0.0, 0.0, 1.0], 1, 0.0),
+                                             ([0.0, 1.0, 2.0, 2.0, 1.0], 3, 2.0)])
+    def test_names_the_first_time_not_after_its_predecessor(self, times, k, t):
+        with pytest.raises(ValueError) as exc:
+            RateProfile(np.array(times), np.zeros((len(times), 3)))
+        assert str(exc.value) == f"sample {k} (t = {t}): sample times must be strictly increasing"
+
     def test_rejects_omegas_of_another_shape(self):
         with pytest.raises(ValueError, match=re.escape(
                 "omegas shape (2, 2) does not match 2 samples")):
