@@ -7,7 +7,9 @@ parse error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -52,7 +54,10 @@ def _tol(args) -> ToleranceConfig:
     return ToleranceConfig(ortho_tol=args.tol_ortho)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The so3kin parser, built on the first call and shared by every later one
+    (parsing leaves it unchanged); callers must not modify it."""
     parser = argparse.ArgumentParser(
         prog="so3kin",
         description="Rotation kinematics: propagate and verify dR/dt = S(w) R.",
@@ -113,11 +118,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_floats(literal: str, count: int) -> np.ndarray:
+def _parse_floats(name: str, literal: str, count: int) -> np.ndarray:
     parts = literal.split(",")
-    if len(parts) != count:
-        raise ValueError(f"expected {count} comma-separated values, got {len(parts)}")
-    return np.array([float(p) for p in parts])
+    try:
+        if len(parts) != count:
+            raise ValueError(f"expected {count} comma-separated values, got {len(parts)}")
+        return np.array([float(p) for p in parts])
+    except ValueError as exc:
+        raise ValueError(f"{name} {literal!r}: {exc}") from None
 
 
 def _emit(key: str, values: np.ndarray, args) -> None:
@@ -186,9 +194,12 @@ def cmd_propagate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    try:
+        strides = [int(s) for s in args.strides.split(",") if s.strip()]
+    except ValueError as exc:
+        raise ValueError(f"--strides {args.strides!r}: {exc}") from None
     traj = kio.read_trajectory(args.trajectory)
     profile = kio.read_rate_profile(args.profile, degrees=traj.degrees_input)
-    strides = [int(s) for s in args.strides.split(",") if s.strip()]
     report = residual_order_report(traj, profile, strides)
     drift = drift_report(traj)
     h = report.step_sizes[0]
@@ -212,13 +223,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_hat(args) -> int:
-    v = _parse_floats(args.vector, 3)
+    v = _parse_floats("vector", args.vector, 3)
     _emit("matrix", hat(v).matrix, args)
     return 0
 
 
 def cmd_vee(args) -> int:
-    m = _parse_floats(args.matrix, 9).reshape(3, 3)
+    m = _parse_floats("matrix", args.matrix, 9).reshape(3, 3)
     _emit("vector", vee(skew_from_matrix(m, _tol(args))), args)
     return 0
 
@@ -232,7 +243,7 @@ def cmd_compose(args) -> int:
 
 
 def cmd_exp(args) -> int:
-    _emit("matrix", exp_so3(_parse_floats(args.vector, 3), _tol(args)).matrix, args)
+    _emit("matrix", exp_so3(_parse_floats("vector", args.vector, 3), _tol(args)).matrix, args)
     return 0
 
 
@@ -247,6 +258,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        raise  # stdout's reader has gone: entry ends quietly
     except (kio.ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -256,7 +269,13 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed pipe raises here, inside the guard
+    except BrokenPipeError:  # the reader has gone; keep the flush at exit quiet too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 2
+    sys.exit(code)
 
 
 if __name__ == "__main__":

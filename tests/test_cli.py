@@ -1,9 +1,15 @@
 import json
+import os
 import re
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import so3kin
 from so3kin import io as kio
 from so3kin.algebra import exp_so3
 from so3kin.cli import main
@@ -321,6 +327,16 @@ class TestVerifyCommand:
         assert capsys.readouterr().err == \
             "error: stride 400 leaves 2 of 501 samples; need at least 3\n"
 
+    def test_a_bad_stride_literal_names_the_argument(self, tmp_path, const_profile, capsys):
+        out = tmp_path / "traj.csv"
+        assert run(["propagate", "--input", const_profile, "--dt", "0.01",
+                    "--output", out]) == 0
+        capsys.readouterr()
+        assert run(["verify", "--trajectory", out, "--profile", const_profile,
+                    "--strides", "1,abc"]) == 1
+        assert capsys.readouterr().err == \
+            "error: --strides '1,abc': invalid literal for int() with base 10: 'abc'\n"
+
     def test_bad_token_exits_2_naming_its_line(self, tmp_path, const_profile, capsys):
         out = tmp_path / "traj.csv"
         assert run(["propagate", "--input", const_profile, "--dt", "0.1",
@@ -385,6 +401,17 @@ class TestMatrixCommands:
 
     def test_hat_arity_error(self, capsys):
         assert run(["hat", "1,2"]) == 1
+
+    @pytest.mark.parametrize("argv, message", [
+        (["hat", "1,2,x"], "vector '1,2,x': could not convert string to float: 'x'"),
+        (["hat", "1,2"], "vector '1,2': expected 3 comma-separated values, got 2"),
+        (["exp", "1,x,3"], "vector '1,x,3': could not convert string to float: 'x'"),
+        (["vee", "0,0,0,0,0,0,0,0,y"],
+         "matrix '0,0,0,0,0,0,0,0,y': could not convert string to float: 'y'"),
+    ], ids=["hat", "hat-arity", "exp", "vee"])
+    def test_a_bad_literal_names_the_argument(self, argv, message, capsys):
+        assert run(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_vee_inverts_hat(self, capsys):
         assert run(["vee", "0,-3,2,3,0,-1,-2,1,0"]) == 0
@@ -452,3 +479,131 @@ class TestMatrixCommands:
         assert run(["log", m]) == 0
         vec = np.array([float(x) for x in capsys.readouterr().out.strip().split(",")])
         assert np.linalg.norm(vec - np.array([0.1, -0.2, 0.3])) <= 1e-9
+
+
+# -- the process: one parser, entry's exit codes -----------------------------
+
+SRC = Path(so3kin.__file__).resolve().parents[1]
+
+
+def fresh_python(args, env=None, **kwargs):
+    """Run `python *args` in a fresh interpreter that imports this so3kin,
+    with PYTHONUNBUFFERED unset unless `env` sets it."""
+    environ = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    environ["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), environ.get("PYTHONPATH")]))
+    environ.update(env or {})
+    return subprocess.run([sys.executable, *args], env=environ, timeout=120, **kwargs)
+
+
+# Counts every ArgumentParser constructed (a subparser is one too): after
+# importing so3kin.cli, then after each main(argv) of the JSON list argv[1].
+COUNT_PARSERS = """
+import argparse, contextlib, io, json, sys
+built = 0
+init = argparse.ArgumentParser.__init__
+def counting_init(self, *args, **kwargs):
+    global built
+    built += 1
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting_init
+import so3kin.cli
+counts = [built]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        so3kin.cli.main(argv)
+    counts.append(built)
+print(json.dumps(counts))
+"""
+
+
+def parsers_built(argvs, cwd):
+    proc = fresh_python(["-c", COUNT_PARSERS, json.dumps(argvs)], cwd=cwd,
+                        capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+def test_importing_the_cli_builds_no_parser(tmp_path):
+    assert parsers_built([], tmp_path) == [0]
+
+
+def test_main_calls_build_one_parser_tree_per_process(tmp_path):
+    argvs = [["hat", "1,2,3"], ["vee", "0,-3,2,3,0,-1,-2,1,0"], ["exp", "0.1,0,0"],
+             ["verify", "--trajectory", "nope.csv", "--profile", "nope.csv"],
+             ["propagate", "--input", "nope.csv", "--output", "t.csv", "--dt", "0.1"],
+             ["hat", "1,2,3"]]
+    counts = parsers_built(argvs, tmp_path)
+    assert counts[1] > 0
+    assert counts[1:] == [counts[1]] * len(argvs)
+
+
+LEAK_SEQUENCE = [
+    ["propagate", "--input", "w.csv", "--output", "traj.csv", "--dt", "0.01",
+     "--method", "all", "--format", "json", "--degrees", "--interp", "zoh"],
+    ["propagate", "--input", "w.csv", "--output", "traj.csv", "--dt", "0.01"],
+    ["verify", "--trajectory", "traj.csv", "--profile", "w.csv", "--strides", "1,2"],
+    ["verify", "--trajectory", "traj.csv", "--profile", "w.csv"],
+]
+
+
+def test_no_state_leaks_from_one_main_call_to_the_next(tmp_path, monkeypatch, capsys):
+    """Each call, run after the ones before it in this process, gives the exit
+    code, output and files it gives as the first call of a fresh interpreter."""
+    seed = tmp_path / "seed"
+    seed.mkdir()
+    (seed / "w.csv").write_text("t,wx,wy,wz\n0,0.5,0,1\n0.4,0,0.8,1\n1,-0.3,0,2\n")
+    fresh_python(["-m", "so3kin.cli", *LEAK_SEQUENCE[1]], cwd=seed, check=True,
+                 capture_output=True)  # the trajectory the verify calls read
+    monkeypatch.chdir(shutil.copytree(seed, tmp_path / "in_process"))
+    for i, argv in enumerate(LEAK_SEQUENCE):
+        first = shutil.copytree(seed, tmp_path / f"first{i}")
+        proc = fresh_python(["-m", "so3kin.cli", *argv], cwd=first,
+                            capture_output=True, text=True)
+        code = main(argv)
+        assert (code, *capsys.readouterr()) == (proc.returncode, proc.stdout, proc.stderr)
+        for path in first.iterdir():
+            assert Path(path.name).read_bytes() == path.read_bytes(), (argv, path.name)
+
+
+def test_a_usage_error_leaves_the_next_call_working(capsys):
+    for argv in (["hat"], ["propagate", "--dt", "x"], ["nope"], ["hat", "--format", "xml"]):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert run(["hat", "1,2,3"]) == 0
+        assert capsys.readouterr().out == "0,-3,2\n3,0,-1\n-2,1,0\n"
+
+
+@pytest.mark.parametrize("argv", [["--help"]] + [[args[0], "--help"] for args in SUBCOMMANDS],
+                         ids=lambda argv: argv[0])
+def test_help_is_the_same_on_the_first_and_later_calls(argv, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    first = fresh_python(["-m", "so3kin.cli", *argv], env={"COLUMNS": "80"},
+                         capture_output=True, text=True)
+    assert (first.returncode, first.stderr) == (0, "")
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == first.stdout
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_a_closed_stdout_pipe_exits_2_quietly(unbuffered):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader has gone before the first write
+    try:
+        proc = fresh_python(["-m", "so3kin.cli", "hat", "--", "-1,2,3"],
+                            env={"PYTHONUNBUFFERED": "1"} if unbuffered else {},
+                            stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (2, b"")
+
+
+def test_output_to_a_file_is_written_in_full(tmp_path):
+    out = tmp_path / "hat.txt"
+    with out.open("wb") as stdout:
+        proc = fresh_python(["-m", "so3kin.cli", "hat", "--", "-1,2,3"],
+                            stdout=stdout, stderr=subprocess.PIPE)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert out.read_text() == "0,-3,2\n3,0,1\n-2,-1,0\n"
