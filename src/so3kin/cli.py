@@ -118,12 +118,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_floats(name: str, literal: str, count: int) -> np.ndarray:
-    parts = literal.split(",")
+def _parse_list(name: str, literal: str, convert, count: int | None = None) -> list:
+    """Argument `name`'s comma-separated values: `count` of them, else the non-blank ones."""
+    parts = [p for p in literal.split(",") if count is not None or p.strip()]
+    if count is not None and len(parts) != count:
+        raise ValueError(f"{name} {literal!r}: expected {count} comma-separated values, got {len(parts)}")
     try:
-        if len(parts) != count:
-            raise ValueError(f"expected {count} comma-separated values, got {len(parts)}")
-        return np.array([float(p) for p in parts])
+        return [convert(p) for p in parts]
     except ValueError as exc:
         raise ValueError(f"{name} {literal!r}: {exc}") from None
 
@@ -194,10 +195,7 @@ def cmd_propagate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        strides = [int(s) for s in args.strides.split(",") if s.strip()]
-    except ValueError as exc:
-        raise ValueError(f"--strides {args.strides!r}: {exc}") from None
+    strides = _parse_list("--strides", args.strides, int)
     traj = kio.read_trajectory(args.trajectory)
     profile = kio.read_rate_profile(args.profile, degrees=traj.degrees_input)
     report = residual_order_report(traj, profile, strides)
@@ -223,13 +221,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_hat(args) -> int:
-    v = _parse_floats("vector", args.vector, 3)
+    v = np.array(_parse_list("vector", args.vector, float, 3))
     _emit("matrix", hat(v).matrix, args)
     return 0
 
 
 def cmd_vee(args) -> int:
-    m = _parse_floats("matrix", args.matrix, 9).reshape(3, 3)
+    m = np.array(_parse_list("matrix", args.matrix, float, 9)).reshape(3, 3)
     _emit("vector", vee(skew_from_matrix(m, _tol(args))), args)
     return 0
 
@@ -243,7 +241,8 @@ def cmd_compose(args) -> int:
 
 
 def cmd_exp(args) -> int:
-    _emit("matrix", exp_so3(_parse_floats("vector", args.vector, 3), _tol(args)).matrix, args)
+    v = np.array(_parse_list("vector", args.vector, float, 3))
+    _emit("matrix", exp_so3(v, _tol(args)).matrix, args)
     return 0
 
 
@@ -259,7 +258,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except BrokenPipeError:
-        raise  # stdout's reader has gone: entry ends quietly
+        return 2  # stdout's reader has gone: there is no one to tell
     except (kio.ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -270,8 +269,10 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     try:
-        code = main()
-        sys.stdout.flush()  # a closed pipe raises here, inside the guard
+        try:
+            code = main()
+        finally:  # argparse's help exits through here too
+            sys.stdout.flush()  # a closed pipe raises here, inside the guard
     except BrokenPipeError:  # the reader has gone; keep the flush at exit quiet too
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 2

@@ -587,17 +587,35 @@ def test_help_is_the_same_on_the_first_and_later_calls(argv, monkeypatch, capsys
         assert capsys.readouterr().out == first.stdout
 
 
-@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-def test_a_closed_stdout_pipe_exits_2_quietly(unbuffered):
+# argparse drops a help write that fails, so unbuffered help ends as it began: exit 0.
+@pytest.mark.parametrize("argv, unbuffered, code", [
+    (["hat", "--", "-1,2,3"], False, 2),
+    (["hat", "--", "-1,2,3"], True, 2),
+    (["--help"], False, 2),
+    (["--help"], True, 0),
+    (["propagate", "--help"], False, 2),
+], ids=["buffered", "unbuffered", "help-buffered", "help-unbuffered", "propagate-help-buffered"])
+def test_a_closed_stdout_pipe_exits_quietly(argv, unbuffered, code):
     read_end, write_end = os.pipe()
     os.close(read_end)  # the reader has gone before the first write
     try:
-        proc = fresh_python(["-m", "so3kin.cli", "hat", "--", "-1,2,3"],
+        proc = fresh_python(["-m", "so3kin.cli", *argv],
                             env={"PYTHONUNBUFFERED": "1"} if unbuffered else {},
                             stdout=write_end, stderr=subprocess.PIPE)
     finally:
         os.close(write_end)
-    assert (proc.returncode, proc.stderr) == (2, b"")
+    assert (proc.returncode, proc.stderr) == (code, b"")
+
+
+class ClosedPipe:
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_main_returns_2_and_prints_nothing_on_a_closed_pipe(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["hat", "1,2,3"]) == 2
+    assert capsys.readouterr().err == ""
 
 
 def test_output_to_a_file_is_written_in_full(tmp_path):
