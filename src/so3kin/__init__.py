@@ -62,7 +62,6 @@ from .propagator import (
     step_euler,
     step_euler_renorm,
     step_exponential,
-    subsample,
 )
 
 __version__ = "0.1.0"

@@ -38,7 +38,7 @@ __all__ = [
 
 
 _SMALL_ANGLE = 1e-7  # radians below which exp and log use their Taylor expansions
-_LOG_NEAR_PI = 1e-3  # radians from pi below which the symmetric-part branch is used
+_LOG_NEAR_PI = np.pi / 2  # radians from pi below which the symmetric-part branch is used
 
 
 class Axis(enum.Enum):

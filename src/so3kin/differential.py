@@ -13,7 +13,7 @@ import numpy as np
 
 from .algebra import hat, log_so3
 from .core import RotationMatrix, So3Error, row_norms, skew_matrices
-from .propagator import NonUniformSampling, sample_rates, subsample, uniform_step
+from .propagator import NonUniformSampling, sample_rates, uniform_step
 
 __all__ = [
     "NonUniformSampling",
@@ -76,11 +76,16 @@ def finite_difference_residual(trajectory, profile) -> ResidualReport:
     Endpoints are skipped so all residuals share the O(h^2) error order.
     """
     times = np.asarray(trajectory.times, dtype=float)
-    mats = np.asarray(trajectory.matrices, dtype=float)
     if len(times) < 3:
         raise TooFewSamples(f"need at least 3 samples, got {len(times)}")
-    h = uniform_step(times)
+    uniform_step(times)
+    return _residual(times, np.asarray(trajectory.matrices, dtype=float), profile)
 
+
+def _residual(times, mats, profile) -> ResidualReport:
+    """finite_difference_residual of at least 3 samples on a grid already
+    checked uniform; h is its mean step, as uniform_step returns it."""
+    h = float(np.mean(np.diff(times)))
     diff = (mats[2:] - mats[:-2]) / (2.0 * h)
     rates = skew_matrices(sample_rates(profile, times[1:-1]))
     residuals = row_norms((diff - rates @ mats[1:-1]).reshape(-1, 9))
@@ -108,12 +113,13 @@ def estimate_convergence_order(residuals) -> float:
 def residual_order_report(trajectory, profile, strides=(1, 2, 4)) -> ResidualReport:
     """Residual report across several effective step sizes.
 
-    Subsamples the trajectory by each integer stride (step size becomes
-    stride * h), evaluates the residual at each, and regresses the maxima
-    to estimate the convergence order.  When every maximum is exactly 0
-    (a trajectory at rest) there is no order to estimate and
-    estimated_order is None.  per_sample and max_residual refer to the
-    finest (smallest stride) grid.
+    Checks the time grid once, then for each integer stride evaluates the
+    residual on every stride-th sample (a grid whose step, the mean of its
+    own intervals, is about stride * h), and regresses the maxima to
+    estimate the convergence order.  When every maximum is exactly 0 (a
+    trajectory at rest) there is no order to estimate and estimated_order
+    is None.  per_sample and max_residual refer to the finest (smallest
+    stride) grid.
 
     Raises DegenerateInput, naming the strides, unless they hold at least
     two distinct values and all are positive, or when the maximum is 0 at
@@ -124,10 +130,13 @@ def residual_order_report(trajectory, profile, strides=(1, 2, 4)) -> ResidualRep
     strides = sorted(set(given))
     if len(strides) < 2 or strides[0] < 1:
         raise DegenerateInput(f"need at least two distinct positive strides, got {given}")
-    n, s = len(trajectory.times), strides[-1]
+    times = np.asarray(trajectory.times, dtype=float)
+    mats = np.asarray(trajectory.matrices, dtype=float)
+    n, s = len(times), strides[-1]
     if (kept := (n - 1) // s + 1) < 3:
         raise TooFewSamples(f"stride {s} leaves {kept} of {n} samples; need at least 3")
-    reports = [finite_difference_residual(subsample(trajectory, s), profile) for s in strides]
+    uniform_step(times)
+    reports = [_residual(times[::s], mats[::s], profile) for s in strides]
     step_sizes = [rep.step_sizes[0] for rep in reports]
     zero = [s for s, rep in zip(strides, reports) if rep.max_residual == 0.0]
     if len(zero) == len(strides):

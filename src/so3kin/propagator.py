@@ -17,7 +17,7 @@ entry is an error.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,7 +53,6 @@ __all__ = [
     "step_euler",
     "step_euler_renorm",
     "propagate",
-    "subsample",
     "drift_report",
 ]
 
@@ -389,16 +388,6 @@ def _check_chain(increments, finite, defects, dets, times, tol) -> None:
     if sample is not None:
         k, error = sample
         raise type(error)(f"sample {k + 1} (t = {float(times[k + 1])}): {error}")
-
-
-def subsample(traj: Trajectory, stride: int) -> Trajectory:
-    """Every stride-th sample of a trajectory (effective step stride * dt)."""
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
-    if stride == 1:
-        return traj
-    return replace(traj, times=traj.times[::stride], matrices=traj.matrices[::stride],
-                   dt=traj.dt * stride, drift=None)
 
 
 def drift_report(traj: Trajectory) -> DriftReport:

@@ -272,6 +272,14 @@ class TestExpLog:
             back = log_so3(exp_so3(phi))
             assert np.linalg.norm(exp_so3(back).matrix - exp_so3(phi).matrix) <= 1e-9
 
+    @pytest.mark.parametrize("k", range(9))
+    def test_round_trip_up_to_pi(self, k):
+        rng = np.random.default_rng(9)
+        for _ in range(200):
+            axis = rng.normal(size=3)
+            r = exp_so3((np.pi - 10.0 ** -k) * axis / np.linalg.norm(axis))
+            assert np.linalg.norm(exp_so3(log_so3(r)).matrix - r.matrix) <= 1e-14
+
     @given(offset_exp=st.floats(min_value=-9.0, max_value=-3.0),
            near_pi=st.booleans(),
            axis=st.tuples(*[st.floats(min_value=-1.0, max_value=1.0)] * 3))

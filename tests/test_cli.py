@@ -196,6 +196,24 @@ class TestVerifyCommand:
         capsys.readouterr()
         return out, prof
 
+    def test_a_grid_uniform_as_a_whole_verifies_at_every_stride(self, tmp_path, capsys):
+        """Times off a 1 ms grid by 0, 0.9, 1.8 and 0.9 ps in turn: each
+        interval is within the 1e-12 the grid check allows, while every
+        second sample alone is 1.8e-12 off."""
+        k = np.arange(1001)
+        times = k * 1e-3 + 0.9e-12 * np.array([0.0, 1.0, 2.0, 1.0])[k % 4]
+        rows = np.column_stack([times, np.tile(np.eye(3).ravel(), (k.size, 1)),
+                                np.zeros((k.size, 2))])
+        traj = tmp_path / "traj.csv"
+        np.savetxt(traj, rows, fmt="%.17g", delimiter=",", comments="",
+                   header="# so3kin trajectory\n# dt=0.001\n" + kio.TRAJECTORY_HEADER)
+        prof = tmp_path / "still.csv"
+        prof.write_text("t,wx,wy,wz\n0,0,0,0\n1,0,0,0\n")
+        assert run(["verify", "--trajectory", traj, "--profile", prof]) == 0
+        captured = capsys.readouterr()
+        assert "estimated_order=n/a" in captured.out.splitlines()
+        assert captured.err == ""
+
     def test_stationary_trajectory_passes(self, stationary, capsys):
         out, prof = stationary
         assert run(["verify", "--trajectory", out, "--profile", prof, "--format", "json"]) == 0

@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from so3kin import differential, propagator
 from so3kin.algebra import Axis, elementary_rotation, exp_so3, hat, infinitesimal_rotation
 from so3kin.core import validate_rotation
 from so3kin.differential import (
@@ -19,6 +20,7 @@ from so3kin.propagator import (
     Interpolation,
     Method,
     RateProfile,
+    RateSampling,
     Trajectory,
     propagate,
     sample_rate,
@@ -250,6 +252,48 @@ class TestResidualOrderReport:
         with pytest.raises(DegenerateInput, match=re.escape(
                 "max residual is exactly 0 at strides [4] of [1, 2, 4]")):
             residual_order_report(traj, profile, strides=(4, 2, 1))
+
+    def test_a_grid_uniform_as_a_whole_is_not_rechecked_per_stride(self):
+        """A body at rest, its times off a 1 ms grid by 0, 0.9, 1.8 and 0.9 ps
+        in turn: each interval is within the 1e-12 the grid check allows,
+        while every second sample alone is 1.8e-12 off."""
+        k = np.arange(1001)
+        times = k * 1e-3 + 0.9e-12 * np.array([0.0, 1.0, 2.0, 1.0])[k % 4]
+        traj = Trajectory(times, np.tile(np.eye(3), (k.size, 1, 1)), "exp", 1e-3)
+        report = residual_order_report(traj, RateProfile.constant((0.0, 0.0, 0.0), 0.0, 1.0))
+        assert report.max_residual == 0.0
+        assert report.estimated_order is None
+
+    def test_checks_the_grid_once(self, monkeypatch):
+        profile = RateProfile.constant((0.0, 0.0, 1.0), 0.0, 1.0)
+        traj = exact_trajectory((0.0, 0.0, 1.0), 0.0, 1.0, 1e-2)
+        real, seen = propagator.uniform_step, []
+
+        def spy(times):
+            seen.append(len(times))
+            return real(times)
+
+        monkeypatch.setattr(propagator, "uniform_step", spy)
+        monkeypatch.setattr(differential, "uniform_step", spy)
+        residual_order_report(traj, profile, strides=(1, 2, 4))
+        assert seen == [len(traj)]
+
+    @pytest.mark.parametrize("strides", [(1, 2, 4), (2, 3), (4, 2, 1), (1, 50), (3, 7)])
+    def test_each_stride_is_the_residual_of_its_slice(self, strides):
+        rng = np.random.default_rng(5)
+        knots = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, 9)), [1.0]])
+        profile = RateProfile(knots, 2.0 * rng.normal(size=(11, 3)))
+        traj = propagate(validate_rotation(random_rotation(rng)), profile, 1e-3,
+                         Method.EXPONENTIAL, RateSampling.MIDPOINT)
+        report = residual_order_report(traj, profile, strides)
+        slices = [finite_difference_residual(
+            Trajectory(traj.times[::s], traj.matrices[::s], traj.method, s * traj.dt), profile)
+            for s in sorted(strides)]
+        assert report.step_sizes == [rep.step_sizes[0] for rep in slices]
+        assert report.max_residual == slices[0].max_residual
+        assert np.array_equal(report.per_sample, slices[0].per_sample)
+        assert report.estimated_order == estimate_convergence_order(
+            [(rep.step_sizes[0], rep.max_residual) for rep in slices])
 
     def test_exact_trajectory_order_two(self):
         profile = RateProfile.constant((0.0, 0.0, 1.0), 0.0, 1.0)

@@ -36,7 +36,6 @@ from so3kin.propagator import (
     step_euler,
     step_euler_renorm,
     step_exponential,
-    subsample,
 )
 
 from oracles import matmul3, random_rotation, rz, series_exp, skew3, svd_project
@@ -605,7 +604,8 @@ class TestDriftOfAPropagatedTrajectory:
 
     @pytest.mark.parametrize("method", list(Method))
     def test_a_subsampled_trajectory_measures_its_own(self, method):
-        traj = subsample(propagate(RotationMatrix.identity(), self.profile, 1e-3, method), 3)
+        full = propagate(RotationMatrix.identity(), self.profile, 1e-3, method)
+        traj = Trajectory(full.times[::3], full.matrices[::3], full.method, 3 * full.dt)
         assert traj.drift is None
         drift = drift_report(traj)
         assert len(drift.per_sample) == len(traj) == 334
@@ -630,29 +630,6 @@ class TestDriftOfAPropagatedTrajectory:
         drift_report(traj)
         for name, args in seen.items():
             assert sum(np.shares_memory(a, traj.matrices) for a in args) == 1, name
-
-
-class TestSubsample:
-    def test_every_other_sample(self):
-        profile = RateProfile.constant((0.0, 0.0, 1.0), 0.0, 1.0)
-        traj = propagate(RotationMatrix.identity(), profile, 0.1, Method.EXPONENTIAL)
-        half = subsample(traj, 2)
-        assert half.dt == pytest.approx(0.2)
-        assert np.array_equal(half.times, traj.times[::2])
-        assert np.array_equal(half.matrices, traj.matrices[::2])
-
-    def test_rejects_a_stride_below_one(self):
-        traj = propagate(RotationMatrix.identity(), RateProfile.constant((0.0, 0.0, 1.0), 0.0, 1.0),
-                         0.1, Method.EXPONENTIAL)
-        with pytest.raises(ValueError, match="stride must be >= 1, got 0"):
-            subsample(traj, 0)
-
-    def test_shares_the_parent_arrays(self):
-        profile = RateProfile.constant((0.0, 0.0, 1.0), 0.0, 1.0)
-        traj = propagate(RotationMatrix.identity(), profile, 0.1, Method.EXPONENTIAL)
-        half = subsample(traj, 2)
-        assert np.shares_memory(half.times, traj.times)
-        assert np.shares_memory(half.matrices, traj.matrices)
 
 
 class TestTrajectory:
