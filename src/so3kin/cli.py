@@ -26,7 +26,7 @@ from .propagator import (
     RateProfile,
     RateSampling,
     drift_report,
-    propagate,
+    propagate_methods,
 )
 
 # Verification bound on the central-difference residual at step h:
@@ -174,15 +174,14 @@ def cmd_propagate(args) -> int:
     else:
         methods = [Method(args.method.replace("-", "_"))]
 
-    sampling = RateSampling(args.rate_sampling)
-    runs = []
-    for method in methods:  # all methods run before any file is written
-        traj = replace(propagate(r0, profile, args.dt, method, sampling),
-                       degrees_input=args.degrees)
-        runs.append((method, traj, drift_report(traj)))
+    # all methods run before any file is written
+    trajs = propagate_methods(r0, profile, args.dt, methods, RateSampling(args.rate_sampling))
+    if args.degrees:
+        trajs = [replace(traj, degrees_input=True) for traj in trajs]
 
     reports = []
-    for method, traj, drift in runs:
+    for method, traj in zip(methods, trajs):
+        drift = drift_report(traj)
         out = _method_output_path(args.output, method) if len(methods) > 1 \
             else Path(args.output)
         kio.write_trajectory(out, traj, drift)

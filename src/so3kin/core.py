@@ -142,14 +142,18 @@ def first_non_rotation(mats: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL):
     return _first_failure(*_membership_terms(mats), tol)
 
 
-def _membership_terms(mats: np.ndarray):
+def _membership_terms(mats: np.ndarray, sign_only: bool = False):
     """(finite, defects, dets) of an (N, 3, 3) stack, one array each: the
     terms of the SO(3) membership test, computed quietly where an entry is
-    not finite."""
+    not finite.  With sign_only the dets are the triple products
+    m0 . (m1 x m2) of the rows: a few ufuncs where LAPACK's det factors
+    each matrix, and within ~4e-16 of it on near-rotations, so their sign
+    tells a reflection as well."""
     finite = np.isfinite(mats).all(axis=(1, 2))
     with np.errstate(invalid="ignore", over="ignore"):
         defects = ortho_defects(mats)
-        dets = np.linalg.det(mats)
+        dets = (np.einsum("...i,...i", mats[..., 0, :], np.cross(mats[..., 1, :], mats[..., 2, :]))
+                if sign_only else np.linalg.det(mats))
     return finite, defects, dets
 
 

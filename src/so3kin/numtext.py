@@ -2,12 +2,12 @@
 
 17 digits of each value are |x| * 10**(16-E) in double-double arithmetic
 (Dekker 1971), rounded to an int64, turned to ASCII by a table of 4-digit
-groups and laid out by per-layout byte masks as %g does.  A cell this
-cannot certify (every zero among them) is written by Python's own '%.17g',
-so every byte is the one '%.17g' % x gives, but for -0, written as 0.  The
-table is made and handed out block by block, so no caller need hold all of
-its text at once, and each block's byte arrays live in one scratch buffer
-that the next block, of this table or another, reuses.
+groups and laid out by per-layout byte masks as %g does; a zero has the
+digits 0.  A cell this cannot certify is written by Python's own '%.17g', so
+every byte is the one '%.17g' % x gives, but for -0, written as 0.  The table
+is made and handed out block by block, so no caller need hold all of its
+text at once, and each block's byte arrays live in one scratch buffer that
+the next block, of this table or another, reuses.
 """
 from __future__ import annotations
 
@@ -55,8 +55,8 @@ def format_table(table: np.ndarray):
         if start == 0:
             cells[0, 0] = 0
         fallback = np.flatnonzero(~certified)
-        if fallback.size:  # every zero is here: + 0.0 writes -0 as 0
-            texts = ["%.17g" % (v + 0.0) for v in x[fallback].tolist()]
+        if fallback.size:
+            texts = ["%.17g" % v for v in x[fallback].tolist()]
             cells[fallback, 1:] = np.array(texts, dtype=f"S{_CELL - 1}")[:, None].view(np.uint8)
         text = cells.tobytes().translate(None, b"\0").decode("ascii")
         _POOL.append(cells.base)  # its bytes are copied: the scratch can serve the next block
@@ -111,8 +111,8 @@ def _format_cells(x):
 
 def _round17(x):
     """(digits, E, certified): |x| to 17 digits is digits * 10**(E-16).
-    Certified: finite, normal, E in range, 17 digits before rounding and a
-    fraction not near 1/2."""
+    Certified: zero (digits 0, E = 0), or finite, normal, E in range, 17
+    digits before rounding and a fraction not near 1/2."""
     head, head_hi, head_lo, tail = _tables()[0]
     ax = np.abs(x)
     certified = (ax >= 1e-270) & (ax < 1e290)
@@ -133,7 +133,8 @@ def _round17(x):
     # Doubles near 10**17 units lie more than 5 units apart, so none rounds up
     # to 10**17: only a wrong guess of E gets here, and it takes the fallback.
     certified &= digits < 10 ** 17
-    return digits, e, certified
+    digits[x == 0.0] = 0  # a zero was taken as 1, so E = 0: it is written 0, -0 too
+    return digits, e, certified | (x == 0.0)
 
 
 def _veltkamp(a):

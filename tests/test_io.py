@@ -279,8 +279,8 @@ def test_format_matrix_matches_percent_format_on_random_bit_patterns():
 
 
 def test_a_propagated_trajectory_is_formatted_in_bulk(tmp_path, monkeypatch):
-    """Only zeros and numbers of magnitude 1 or more may take the % fallback,
-    so a benchmark of the writer on such a table measures the bulk path."""
+    """Only numbers of magnitude 1 or more may take the % fallback, so a
+    benchmark of the writer on such a table measures the bulk path."""
     t = np.linspace(0.0, 0.5, 51)
     profile = RateProfile(t, np.column_stack([np.sin(t), np.cos(2 * t), np.full_like(t, 0.5)]))
     traj = propagate(RotationMatrix.identity(), profile, 1e-3, Method.EXPONENTIAL)
@@ -294,15 +294,28 @@ def test_a_propagated_trajectory_is_formatted_in_bulk(tmp_path, monkeypatch):
     monkeypatch.setattr(numtext, "_format_cells", spy)
     kio.write_trajectory(tmp_path / "traj.csv", traj, drift_report(traj))
     assert len(traj) == 501
-    assert all(abs(v) >= 1.0 or v == 0.0 for v in fallback)
+    assert all(abs(v) >= 1.0 for v in fallback)
+
+
+def test_zeros_of_either_sign_are_written_in_bulk():
+    x = np.array([0.0, -0.0, 1.5, -0.0, 0.0, -2.0, 0.0])
+    cells, certified = numtext._format_cells(x)
+    assert certified.all()
+    assert kio.format_matrix(x.reshape(1, -1)) == "0,0,1.5,0,0,-2,0"
 
 
 def _block_table(rows, cols, seed=0):
-    """rows x cols of values of every magnitude the writer meets, zeros and
-    negatives included (zeros take the % fallback)."""
+    """rows x cols of values of every magnitude the writer meets, negatives
+    and zeros of either sign included; the cells on both sides of every
+    block boundary are -0 and 0."""
     rng = np.random.default_rng(seed)
     table = rng.normal(size=(rows, cols)) * 10.0 ** rng.integers(-20, 20, size=(rows, cols))
     table[rng.random(size=table.shape) < 0.05] = 0.0
+    table[rng.random(size=table.shape) < 0.05] = -0.0
+    block = cols * max(1, numtext._BLOCK_CELLS // cols)
+    for edge in range(block, table.size, block):
+        table.flat[edge - 1:edge + 1] = -0.0, 0.0
+    table.flat[[0, -1]] = -0.0
     return table
 
 

@@ -454,13 +454,16 @@ def first_public_failure(r0, profile, dt, n_steps, method):
     return None
 
 
+TIGHT_TOLERANCES = [
+    (Method.EXPONENTIAL, 1e-15, "sample"),
+    (Method.EXPONENTIAL, 1e-17, "increment"),
+    (Method.EULER_RENORM, 4.5e-16, "sample"),
+    (Method.EULER_RENORM, 1e-16, "increment"),
+]
+
+
 class TestPropagateValidation:
-    @pytest.mark.parametrize("method,ortho_tol,where", [
-        (Method.EXPONENTIAL, 1e-15, "sample"),
-        (Method.EXPONENTIAL, 1e-17, "increment"),
-        (Method.EULER_RENORM, 4.5e-16, "sample"),
-        (Method.EULER_RENORM, 1e-16, "increment"),
-    ])
+    @pytest.mark.parametrize("method,ortho_tol,where", TIGHT_TOLERANCES)
     def test_tight_tolerance_names_first_failure(self, method, ortho_tol, where):
         ts = np.linspace(0.0, 1.0, 11)
         ws = np.column_stack([np.sin(3 * ts), np.cos(2 * ts), 0.5 + ts])
@@ -477,6 +480,121 @@ class TestPropagateValidation:
         profile = RateProfile.constant((0.0, 0.0, 1.0), 0.0, 1.0)
         traj = propagate(RotationMatrix.identity(tight), profile, 1e-2, Method.EULER)
         assert drift_report(traj).max_ortho_err > 1e-6
+
+
+def same_trajectories(got, expected):
+    """Trajectories equal field by field, arrays and drift bit for bit."""
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert (a.method, a.dt, a.truncated_span, a.degrees_input) == \
+            (b.method, b.dt, b.truncated_span, b.degrees_input)
+        for x, y in ((a.times, b.times), (a.matrices, b.matrices),
+                     (a.drift.per_sample, b.drift.per_sample)):
+            assert np.array_equal(x.view(np.uint64), y.view(np.uint64))
+        assert (a.drift.max_ortho_err, a.drift.max_det_err) == \
+            (b.drift.max_ortho_err, b.drift.max_det_err)
+
+
+def raised(call):
+    """(type, message) of the So3Error that call raises."""
+    with pytest.raises(So3Error) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+class TestPropagateMethods:
+    """propagate_methods is one pass that must give what a loop of propagate
+    calls gives: trajectories bit for bit, and the error raised first."""
+
+    rng = np.random.default_rng(21)
+    knots = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 0.1, 5)), [0.1]])
+    rates = 4.0 * rng.normal(size=(7, 3))
+    r0 = validate_rotation(random_rotation(np.random.default_rng(22)))
+    orders = [
+        list(Method),
+        [Method.EULER_RENORM, Method.EXPONENTIAL],
+        [Method.EULER, Method.EULER_RENORM, Method.EXPONENTIAL, Method.EULER],
+        [Method.EULER_RENORM],
+    ]
+
+    def loop(self, profile, methods, sampling, dt=1e-3):
+        return [propagate(self.r0, profile, dt, m, sampling) for m in methods]
+
+    @pytest.mark.parametrize("methods", orders)
+    @pytest.mark.parametrize("interp", list(Interpolation))
+    @pytest.mark.parametrize("sampling", list(RateSampling))
+    def test_equals_a_loop_of_propagate(self, methods, interp, sampling):
+        profile = RateProfile(self.knots, self.rates, interp)
+        got = propagator.propagate_methods(self.r0, profile, 1e-3, methods, sampling)
+        same_trajectories(got, self.loop(profile, methods, sampling))
+
+    @pytest.mark.parametrize("methods", orders)
+    @pytest.mark.parametrize("sampling", list(RateSampling))
+    def test_blocks_of_seven_steps_change_no_bit(self, monkeypatch, methods, sampling):
+        profile = RateProfile(self.knots, self.rates)
+        expected = self.loop(profile, methods, sampling)
+        monkeypatch.setattr(propagator, "_BLOCK_STEPS", 7)
+        same_trajectories(self.loop(profile, methods, sampling), expected)
+        same_trajectories(propagator.propagate_methods(self.r0, profile, 1e-3, methods, sampling),
+                          expected)
+
+    @pytest.mark.parametrize("block", [7, propagator._BLOCK_STEPS])
+    def test_a_non_finite_rate_of_a_later_block_names_its_step(self, monkeypatch, block):
+        monkeypatch.setattr(propagator, "_BLOCK_STEPS", block)
+        profile = RateProfile(np.array([0.0, 30.0, 40.0]),
+                              np.array([[1.0, 0.0, 0.0], [1e308, 0.0, 0.0], [1e308, 0.0, 0.0]]),
+                              Interpolation.ZERO_ORDER_HOLD)
+        message = "step 15 (t = 30.0): rotation increment dt * w has non-finite components"
+        for methods in self.orders:
+            error, text = raised(lambda: propagator.propagate_methods(
+                RotationMatrix.identity(), profile, 2.0, methods))
+            assert error is NonFinite and text.startswith(message)
+
+    @pytest.mark.parametrize("block", [7, propagator._BLOCK_STEPS])
+    def test_a_bad_increment_of_a_later_block_names_its_step(self, monkeypatch, block):
+        # From t = 5 on, |dt * w|^2 overflows and the exp increment is not finite.
+        monkeypatch.setattr(propagator, "_BLOCK_STEPS", block)
+        profile = RateProfile(np.array([0.0, 5.0, 10.0]),
+                              np.array([[1.0, 0.0, 0.0], [1e300, 0.0, 0.0], [1e300, 0.0, 0.0]]),
+                              Interpolation.ZERO_ORDER_HOLD)
+        for methods in ([Method.EXPONENTIAL], [Method.EULER_RENORM, Method.EXPONENTIAL]):
+            assert raised(lambda: propagator.propagate_methods(
+                RotationMatrix.identity(), profile, 0.5, methods)) == \
+                (NonFinite, "increment of step 10 (t = 5.0): matrix has non-finite entries")
+
+    @pytest.mark.parametrize("method,ortho_tol,where", TIGHT_TOLERANCES)
+    def test_tight_tolerance_names_first_failure_at_seven_step_blocks(
+            self, monkeypatch, method, ortho_tol, where):
+        monkeypatch.setattr(propagator, "_BLOCK_STEPS", 7)
+        TestPropagateValidation().test_tight_tolerance_names_first_failure(
+            method, ortho_tol, where)
+
+    @pytest.mark.parametrize("methods", [
+        [Method.EULER, Method.EXPONENTIAL],
+        [Method.EXPONENTIAL, Method.EULER],
+        [Method.EULER_RENORM, Method.EULER, Method.EXPONENTIAL],
+    ])
+    def test_of_two_failing_methods_the_first_given_raises(self, methods):
+        # exp fails at its first increment (non-finite); euler's chain
+        # overflows at sample 2; euler_renorm succeeds.
+        profile = RateProfile(np.array([0.0, 1.0]), np.array([[1e300, 0.0, 0.0]] * 2))
+        r0 = RotationMatrix.identity()
+        first = raised(lambda: [propagate(r0, profile, 0.5, m) for m in methods])
+        assert raised(lambda: propagator.propagate_methods(r0, profile, 0.5, methods)) == first
+        failing = [m for m in methods if m is not Method.EULER_RENORM][0]
+        assert first == raised(lambda: propagate(r0, profile, 0.5, failing))
+
+    def test_raises_as_the_loop_at_a_tight_tolerance(self):
+        # Both checked methods fail, each at its own place.
+        profile = RateProfile(self.knots, self.rates)
+        r0 = RotationMatrix.identity(ToleranceConfig(ortho_tol=1e-16))
+        errors = {m: raised(lambda: propagate(r0, profile, 1e-3, m))
+                  for m in (Method.EXPONENTIAL, Method.EULER_RENORM)}
+        assert errors[Method.EXPONENTIAL] != errors[Method.EULER_RENORM]
+        for methods in ([Method.EXPONENTIAL, Method.EULER_RENORM],
+                        [Method.EULER, Method.EULER_RENORM, Method.EXPONENTIAL]):
+            got = raised(lambda: propagator.propagate_methods(r0, profile, 1e-3, methods))
+            assert got == errors[[m for m in methods if m is not Method.EULER][0]]
 
 
 class TestHugeRates:
