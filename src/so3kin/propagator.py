@@ -316,10 +316,6 @@ def _check_step(dt: float) -> None:
         raise BadStep(f"dt must be positive and finite, got {dt}")
 
 
-# Steps per block: the rates, increments and increment checks of a run are
-# built block by block, so no run holds every increment at once.
-_BLOCK_STEPS = 65536
-
 _INCREMENTS = {Method.EXPONENTIAL: exp_matrices, Method.EULER_RENORM: _polar_increments,
                Method.EULER: lambda phis: np.eye(3) + skew_matrices(phis)}
 
@@ -340,7 +336,9 @@ def propagate_methods(r0: RotationMatrix, profile: RateProfile, dt: float, metho
                       rate_sampling: RateSampling = RateSampling.START) -> list[Trajectory]:
     """propagate with each method in turn, in one pass: the rates are sampled
     once and the chains advance together.  The trajectories, and the error
-    raised first, are those of [propagate(...) for method in methods]."""
+    raised first, are those of [propagate(...) for method in methods], but
+    their matrices are views of one (M, N+1, 3, 3) array: holding any one
+    trajectory keeps every method's samples in memory."""
     return _propagate(r0, profile, dt, tuple(methods), rate_sampling)
 
 
@@ -357,37 +355,7 @@ def _propagate(r0, profile, dt, methods, rate_sampling) -> list[Trajectory]:
 
     times = t0 + dt * np.arange(n_steps + 1)
     times.flags.writeable = False
-    offset = 0.5 * dt if rate_sampling is RateSampling.MIDPOINT else 0.0
-    mats = np.empty((len(methods), n_steps + 1, 3, 3))
-    mats[:, 0] = r0.matrix
-    increments = np.empty((len(methods), min(n_steps, _BLOCK_STEPS), 3, 3))
-    bad_increment = [None] * len(methods)  # (step, error) of the first increment off SO(3)
-    # Only the chains R[k+1] = E[k] @ R[k] are serial: one np.matmul advances
-    # them all, while np.dot, ~30% cheaper per 3x3 product, serves one chain.
-    product, chains, stack = (np.dot, mats[0], increments[0]) if len(methods) == 1 \
-        else (np.matmul, mats.swapaxes(0, 1), increments.swapaxes(0, 1))
-    for start in range(0, n_steps, _BLOCK_STEPS):
-        stop = min(start + _BLOCK_STEPS, n_steps)
-        phis = sample_rates(profile, t0 + np.arange(start, stop) * dt + offset)
-        with np.errstate(over="ignore"):  # an overflow is named just below
-            phis *= dt
-        nonfinite = ~np.isfinite(phis).all(axis=1)
-        if nonfinite.any():
-            k = start + int(np.argmax(nonfinite))
-            raise NonFinite(f"step {k} (t = {float(times[k])}): rotation increment dt * w "
-                            f"has non-finite components: {phis[k - start]}")
-        for i, method in enumerate(methods):
-            increments[i, :stop - start] = _INCREMENTS[method](phis)
-            if method is not Method.EULER and bad_increment[i] is None:
-                failure = _first_failure(*_membership_terms(increments[i, :stop - start],
-                                                            sign_only=True), r0.tol)
-                if failure is not None:
-                    bad_increment[i] = (start + failure[0], failure[1])
-        # A raw euler chain can overflow; its first non-finite sample is named below.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for inc, cur, nxt in zip(stack, chains[start:stop], chains[start + 1:stop + 1]):
-                product(inc, cur, out=nxt)
-
+    mats, bad_increments = _chains(r0, profile, times[:-1], dt, rate_sampling, methods)
     trajectories = []
     for i, method in enumerate(methods):
         chain = mats[i]
@@ -397,13 +365,45 @@ def _propagate(r0, profile, dt, methods, rate_sampling) -> list[Trajectory]:
         # One pass over the samples serves both the check and the drift report.
         finite, defects, dets = _membership_terms(chain)
         if method is not Method.EULER:
-            _check_chain(bad_increment[i], finite[1:], defects[1:], dets[1:], times, r0.tol)
+            _check_chain(bad_increments[i], finite[1:], defects[1:], dets[1:], times, r0.tol)
         elif not finite.all():
             k = int(np.argmin(finite))
             raise NonFinite(f"sample {k} (t = {float(times[k])}): matrix has non-finite entries")
         trajectories.append(Trajectory(times, chain, method.value, dt, truncated,
                                        drift=_drift(times, defects, dets)))
     return trajectories
+
+
+def _chains(r0, profile, starts, dt, rate_sampling, methods):
+    """(mats, bad_increments): the (M, N+1, 3, 3) samples of each method's
+    uncorrected chain from r0 over steps starting at starts, and, per method,
+    the first increment off SO(3) as (k, error), or None (always for euler)."""
+    offset = 0.5 * dt if rate_sampling is RateSampling.MIDPOINT else 0.0
+    phis = sample_rates(profile, starts + offset)
+    with np.errstate(over="ignore"):  # an overflow is named just below
+        phis *= dt
+    nonfinite = ~np.isfinite(phis).all(axis=1)
+    if nonfinite.any():
+        k = int(np.argmax(nonfinite))
+        raise NonFinite(f"step {k} (t = {float(starts[k])}): rotation increment dt * w "
+                        f"has non-finite components: {phis[k]}")
+    increments = np.empty((len(methods), len(phis), 3, 3))
+    bad_increments = []
+    for inc, method in zip(increments, methods):
+        inc[:] = _INCREMENTS[method](phis)
+        bad_increments.append(None if method is Method.EULER else
+                              _first_failure(*_membership_terms(inc, sign_only=True), r0.tol))
+    mats = np.empty((len(methods), len(phis) + 1, 3, 3))
+    mats[:, 0] = r0.matrix
+    # Only the chains R[k+1] = E[k] @ R[k] are serial: one np.matmul advances
+    # them all, while np.dot, ~30% cheaper per 3x3 product, serves one chain.
+    product, chains, stack = (np.dot, mats[0], increments[0]) if len(methods) == 1 \
+        else (np.matmul, mats.swapaxes(0, 1), increments.swapaxes(0, 1))
+    # A raw euler chain can overflow; its first non-finite sample is named later.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for inc, cur, nxt in zip(stack, chains[:-1], chains[1:]):
+            product(inc, cur, out=nxt)
+    return mats, bad_increments
 
 
 def _check_chain(increment, finite, defects, dets, times, tol) -> None:

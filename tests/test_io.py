@@ -305,17 +305,11 @@ def test_zeros_of_either_sign_are_written_in_bulk():
 
 
 def _block_table(rows, cols, seed=0):
-    """rows x cols of values of every magnitude the writer meets, negatives
-    and zeros of either sign included; the cells on both sides of every
-    block boundary are -0 and 0."""
+    """rows x cols of values of every magnitude the writer meets, zeros and
+    negatives included."""
     rng = np.random.default_rng(seed)
     table = rng.normal(size=(rows, cols)) * 10.0 ** rng.integers(-20, 20, size=(rows, cols))
     table[rng.random(size=table.shape) < 0.05] = 0.0
-    table[rng.random(size=table.shape) < 0.05] = -0.0
-    block = cols * max(1, numtext._BLOCK_CELLS // cols)
-    for edge in range(block, table.size, block):
-        table.flat[edge - 1:edge + 1] = -0.0, 0.0
-    table.flat[[0, -1]] = -0.0
     return table
 
 
@@ -325,6 +319,20 @@ def _block_table(rows, cols, seed=0):
 def test_tables_at_the_block_boundaries_match_percent_format(cols, blocks, offset):
     rows = blocks * (numtext._BLOCK_CELLS // cols) + offset
     table = _block_table(rows, cols, seed=rows)
+    assert kio.format_matrix(table) == percent_format_matrix(table)
+
+
+@pytest.mark.parametrize("cols", [1, 3, 4, 12])
+@pytest.mark.parametrize("blocks", [1, 2])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_zeros_at_the_block_boundaries_match_percent_format(cols, blocks, offset):
+    """-0 and 0 on either side of every block boundary, -0 at both ends."""
+    rows = blocks * (numtext._BLOCK_CELLS // cols) + offset
+    table = _block_table(rows, cols, seed=rows)
+    block = cols * (numtext._BLOCK_CELLS // cols)
+    for edge in range(block, table.size, block):
+        table.flat[edge - 1:edge + 1] = -0.0, 0.0
+    table.flat[[0, -1]] = -0.0
     assert kio.format_matrix(table) == percent_format_matrix(table)
 
 

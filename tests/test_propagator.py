@@ -454,16 +454,13 @@ def first_public_failure(r0, profile, dt, n_steps, method):
     return None
 
 
-TIGHT_TOLERANCES = [
-    (Method.EXPONENTIAL, 1e-15, "sample"),
-    (Method.EXPONENTIAL, 1e-17, "increment"),
-    (Method.EULER_RENORM, 4.5e-16, "sample"),
-    (Method.EULER_RENORM, 1e-16, "increment"),
-]
-
-
 class TestPropagateValidation:
-    @pytest.mark.parametrize("method,ortho_tol,where", TIGHT_TOLERANCES)
+    @pytest.mark.parametrize("method,ortho_tol,where", [
+        (Method.EXPONENTIAL, 1e-15, "sample"),
+        (Method.EXPONENTIAL, 1e-17, "increment"),
+        (Method.EULER_RENORM, 4.5e-16, "sample"),
+        (Method.EULER_RENORM, 1e-16, "increment"),
+    ])
     def test_tight_tolerance_names_first_failure(self, method, ortho_tol, where):
         ts = np.linspace(0.0, 1.0, 11)
         ws = np.column_stack([np.sin(3 * ts), np.cos(2 * ts), 0.5 + ts])
@@ -528,19 +525,7 @@ class TestPropagateMethods:
         got = propagator.propagate_methods(self.r0, profile, 1e-3, methods, sampling)
         same_trajectories(got, self.loop(profile, methods, sampling))
 
-    @pytest.mark.parametrize("methods", orders)
-    @pytest.mark.parametrize("sampling", list(RateSampling))
-    def test_blocks_of_seven_steps_change_no_bit(self, monkeypatch, methods, sampling):
-        profile = RateProfile(self.knots, self.rates)
-        expected = self.loop(profile, methods, sampling)
-        monkeypatch.setattr(propagator, "_BLOCK_STEPS", 7)
-        same_trajectories(self.loop(profile, methods, sampling), expected)
-        same_trajectories(propagator.propagate_methods(self.r0, profile, 1e-3, methods, sampling),
-                          expected)
-
-    @pytest.mark.parametrize("block", [7, propagator._BLOCK_STEPS])
-    def test_a_non_finite_rate_of_a_later_block_names_its_step(self, monkeypatch, block):
-        monkeypatch.setattr(propagator, "_BLOCK_STEPS", block)
+    def test_a_non_finite_rate_names_its_step(self):
         profile = RateProfile(np.array([0.0, 30.0, 40.0]),
                               np.array([[1.0, 0.0, 0.0], [1e308, 0.0, 0.0], [1e308, 0.0, 0.0]]),
                               Interpolation.ZERO_ORDER_HOLD)
@@ -550,10 +535,8 @@ class TestPropagateMethods:
                 RotationMatrix.identity(), profile, 2.0, methods))
             assert error is NonFinite and text.startswith(message)
 
-    @pytest.mark.parametrize("block", [7, propagator._BLOCK_STEPS])
-    def test_a_bad_increment_of_a_later_block_names_its_step(self, monkeypatch, block):
+    def test_a_bad_increment_names_its_step(self):
         # From t = 5 on, |dt * w|^2 overflows and the exp increment is not finite.
-        monkeypatch.setattr(propagator, "_BLOCK_STEPS", block)
         profile = RateProfile(np.array([0.0, 5.0, 10.0]),
                               np.array([[1.0, 0.0, 0.0], [1e300, 0.0, 0.0], [1e300, 0.0, 0.0]]),
                               Interpolation.ZERO_ORDER_HOLD)
@@ -561,13 +544,6 @@ class TestPropagateMethods:
             assert raised(lambda: propagator.propagate_methods(
                 RotationMatrix.identity(), profile, 0.5, methods)) == \
                 (NonFinite, "increment of step 10 (t = 5.0): matrix has non-finite entries")
-
-    @pytest.mark.parametrize("method,ortho_tol,where", TIGHT_TOLERANCES)
-    def test_tight_tolerance_names_first_failure_at_seven_step_blocks(
-            self, monkeypatch, method, ortho_tol, where):
-        monkeypatch.setattr(propagator, "_BLOCK_STEPS", 7)
-        TestPropagateValidation().test_tight_tolerance_names_first_failure(
-            method, ortho_tol, where)
 
     @pytest.mark.parametrize("methods", [
         [Method.EULER, Method.EXPONENTIAL],
