@@ -73,7 +73,7 @@ class EmptyProfile(So3Error):
 
 
 class BadStep(So3Error):
-    """Step size is nonpositive or exceeds the profile span."""
+    """Step size is nonpositive, exceeds the profile span, or makes too many steps to form."""
 
 
 class Interpolation(enum.Enum):
@@ -129,6 +129,7 @@ class RateProfile:
                              "sample times must be strictly increasing")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "omegas", omegas)
+        object.__setattr__(self, "interpolation", Interpolation(self.interpolation))
 
     @classmethod
     def constant(cls, omega, t0: float, tf: float,
@@ -338,55 +339,61 @@ def propagate_methods(r0: RotationMatrix, profile: RateProfile, dt: float, metho
     once and the chains advance together.  The trajectories, and the error
     raised first, are those of [propagate(...) for method in methods], but
     their matrices are views of one (M, N+1, 3, 3) array: holding any one
-    trajectory keeps every method's samples in memory."""
-    return _propagate(r0, profile, dt, tuple(methods), rate_sampling)
+    trajectory keeps every method's samples in memory.  Each method raises
+    its first failure in step order, as a chain of step_* calls meets it:
+    step k checks its dt * w, then its increment, then sample k + 1."""
+    return _propagate(r0, profile, dt, methods, rate_sampling)
 
 
 def _propagate(r0, profile, dt, methods, rate_sampling) -> list[Trajectory]:
+    methods, rate_sampling = tuple(map(Method, methods)), RateSampling(rate_sampling)
     _check_step(dt)
     t0, tf = profile.span
     span = tf - t0
     if span < dt:
         raise BadStep(f"dt = {dt} exceeds profile span {span}")
     ratio = span / dt
-    n_steps = int(round(ratio)) if abs(ratio - round(ratio)) <= 1e-9 * max(1.0, ratio) \
-        else int(np.floor(ratio))
+    try:
+        n_steps = int(round(ratio)) if abs(ratio - round(ratio)) <= 1e-9 * max(1.0, ratio) \
+            else int(np.floor(ratio))
+        times = t0 + dt * np.arange(n_steps + 1)
+    except (OverflowError, ValueError, MemoryError):
+        raise BadStep(f"dt = {dt} makes {ratio:.3g} steps over profile span {span}, "
+                      "too many to form") from None
     truncated = n_steps * dt < span * (1.0 - 1e-12)
-
-    times = t0 + dt * np.arange(n_steps + 1)
     times.flags.writeable = False
-    mats, bad_increments = _chains(r0, profile, times[:-1], dt, rate_sampling, methods)
+    mats, bad_rate, bad_increments = _chains(r0, profile, times[:-1], dt, rate_sampling, methods)
     trajectories = []
     for i, method in enumerate(methods):
         chain = mats[i]
         if method is Method.EULER_RENORM:
             chain[1:] = _newton_polar(chain[1:])
         chain.flags.writeable = False
-        # One pass over the samples serves both the check and the drift report.
+        # One pass serves the check and the drift report; raw euler fails only by overflow.
         finite, defects, dets = _membership_terms(chain)
-        if method is not Method.EULER:
-            _check_chain(bad_increments[i], finite[1:], defects[1:], dets[1:], times, r0.tol)
-        elif not finite.all():
-            k = int(np.argmin(finite))
-            raise NonFinite(f"sample {k} (t = {float(times[k])}): matrix has non-finite entries")
+        judged = (finite, defects, dets) if method is not Method.EULER else \
+            (finite, np.zeros_like(defects), np.ones_like(dets))
+        _raise_first(bad_rate, bad_increments[i],
+                     _first_failure(*(x[1:] for x in judged), r0.tol), times)
         trajectories.append(Trajectory(times, chain, method.value, dt, truncated,
                                        drift=_drift(times, defects, dets)))
     return trajectories
 
 
 def _chains(r0, profile, starts, dt, rate_sampling, methods):
-    """(mats, bad_increments): the (M, N+1, 3, 3) samples of each method's
-    uncorrected chain from r0 over steps starting at starts, and, per method,
-    the first increment off SO(3) as (k, error), or None (always for euler)."""
+    """(mats, bad_rate, bad_increments): the (M, n+1, 3, 3) samples of each
+    method's uncorrected chain from r0 over the n steps from starts that
+    precede the first whose dt * w is not finite, that step as (k, error) or
+    None, and per method the first increment off SO(3) likewise (euler: None)."""
     offset = 0.5 * dt if rate_sampling is RateSampling.MIDPOINT else 0.0
     phis = sample_rates(profile, starts + offset)
-    with np.errstate(over="ignore"):  # an overflow is named just below
+    with np.errstate(over="ignore"):  # an overflow is a failure of its step
         phis *= dt
-    nonfinite = ~np.isfinite(phis).all(axis=1)
-    if nonfinite.any():
-        k = int(np.argmax(nonfinite))
-        raise NonFinite(f"step {k} (t = {float(starts[k])}): rotation increment dt * w "
-                        f"has non-finite components: {phis[k]}")
+    finite = np.isfinite(phis).all(axis=1)
+    n = len(phis) if finite.all() else int(np.argmin(finite))  # steps before a non-finite one
+    bad_rate = None if n == len(phis) else (n, NonFinite(
+        f"rotation increment dt * w has non-finite components: {phis[n]}"))
+    phis = phis[:n]
     increments = np.empty((len(methods), len(phis), 3, 3))
     bad_increments = []
     for inc, method in zip(increments, methods):
@@ -403,21 +410,19 @@ def _chains(r0, profile, starts, dt, rate_sampling, methods):
     with np.errstate(over="ignore", invalid="ignore"):
         for inc, cur, nxt in zip(stack, chains[:-1], chains[1:]):
             product(inc, cur, out=nxt)
-    return mats, bad_increments
+    return mats, bad_rate, bad_increments
 
 
-def _check_chain(increment, finite, defects, dets, times, tol) -> None:
-    """Raise the SO(3) error that checking each step in turn meets first:
-    step k checks its increment (increment: the first off SO(3) as (k, error),
-    or None), then the sample k + 1 it produced, whose membership terms are
-    finite[k], defects[k] and dets[k].  The message names the index and time."""
-    sample = _first_failure(finite, defects, dets, tol)
-    if increment is not None and (sample is None or increment[0] <= sample[0]):
-        k, error = increment
-        raise type(error)(f"increment of step {k} (t = {float(times[k])}): {error}")
-    if sample is not None:
-        k, error = sample
-        raise type(error)(f"sample {k + 1} (t = {float(times[k + 1])}): {error}")
+def _raise_first(rate, increment, sample, times) -> None:
+    """Raise the error that stepping in turn meets first: step k checks its
+    dt * w, then its increment, then the sample k + 1 it produced.  Each
+    argument is that check's first failure as (k, error), or None; the
+    message names the step or sample and its time."""
+    failures = [(f[0], kind, f[1]) for kind, f in enumerate((rate, increment, sample)) if f]
+    if failures:
+        k, kind, error = min(failures, key=lambda f: f[:2])
+        where = (f"step {k}", f"increment of step {k}", f"sample {k + 1}")[kind]
+        raise type(error)(f"{where} (t = {float(times[k + (kind == 2)])}): {error}")
 
 
 def drift_report(traj: Trajectory) -> DriftReport:

@@ -54,6 +54,13 @@ class TestPropagateCommand:
         assert code == 1
         assert "--dt" in capsys.readouterr().err
 
+    def test_a_step_count_too_large_to_form_is_one_error_line(self, tmp_path, const_profile,
+                                                              capsys):
+        assert run(["propagate", "--input", const_profile, "--dt", "1e-320",
+                    "--output", tmp_path / "traj.csv"]) == 1
+        assert capsys.readouterr().err == \
+            "error: dt = 1e-320 makes inf steps over profile span 1.0, too many to form\n"
+
     def test_method_all_writes_three_files(self, tmp_path, const_profile, capsys):
         out = tmp_path / "traj.csv"
         code = run(["propagate", "--input", const_profile, "--dt", "0.01",

@@ -75,6 +75,12 @@ class TestRateProfile:
         assert not profile.times.flags.writeable
         assert not profile.omegas.flags.writeable
 
+    def test_interpolation_is_read_as_its_enum(self):
+        ramp = np.array([0.0, 1.0]), np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 2.0]])
+        assert sample_rate(RateProfile(*ramp, "linear"), 0.5)[2] == 1.0
+        with pytest.raises(ValueError, match="'cubic' is not a valid Interpolation"):
+            RateProfile(*ramp, "cubic")
+
     def test_holds_read_only_input_without_copy(self):
         times, omegas = np.array([0.0, 1.0]), np.ones((2, 3))
         times.flags.writeable = False
@@ -281,6 +287,39 @@ class TestPropagate:
         with pytest.raises(BadStep):
             propagate(RotationMatrix.identity(), profile, 1.0, Method.EXPONENTIAL)
 
+    @pytest.mark.parametrize("dt", [1e-320, 1e-15, 1e-300])
+    def test_a_step_count_too_large_to_form_is_a_bad_step(self, dt):
+        # span / dt is inf, or a time grid no address space holds: each fails
+        # before any memory is touched
+        profile = RateProfile.constant((0.0, 0.0, 1.0), 0.0, 1.0)
+        with pytest.raises(BadStep, match=rf"^dt = {dt} makes .* steps over profile span 1\.0"):
+            propagate(RotationMatrix.identity(), profile, dt, Method.EXPONENTIAL)
+
+    def test_method_is_read_as_its_enum(self):
+        profile = RateProfile.constant((0.0, 0.0, 1.0), 0.0, 1.0)
+        assert propagate(RotationMatrix.identity(), profile, 0.1, "exp").method == "exp"
+        with pytest.raises(ValueError, match="'exponential' is not a valid Method"):
+            propagate(RotationMatrix.identity(), profile, 0.1, "exponential")
+
+    def test_methods_are_read_as_their_enum(self):
+        profile = RateProfile.constant((0.0, 0.0, 1.0), 0.0, 1.0)
+        trajs = propagator.propagate_methods(RotationMatrix.identity(), profile, 0.1,
+                                             ["euler", Method.EXPONENTIAL])
+        assert [t.method for t in trajs] == ["euler", "exp"]
+        with pytest.raises(ValueError, match="'renorm' is not a valid Method"):
+            propagator.propagate_methods(RotationMatrix.identity(), profile, 0.1,
+                                         [Method.EXPONENTIAL, "renorm"])
+
+    @pytest.mark.parametrize("run", [
+        propagate, lambda r0, p, dt, m, s: propagator.propagate_methods(r0, p, dt, [m], s)[0]])
+    def test_rate_sampling_is_read_as_its_enum(self, run):
+        profile = RateProfile(np.array([0.0, 1.0]), np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 2.0]]))
+        r0, exp = RotationMatrix.identity(), Method.EXPONENTIAL
+        assert np.array_equal(run(r0, profile, 0.1, exp, "midpoint").matrices,
+                              run(r0, profile, 0.1, exp, RateSampling.MIDPOINT).matrices)
+        with pytest.raises(ValueError, match="'middle' is not a valid RateSampling"):
+            run(r0, profile, 0.1, exp, "middle")
+
     def test_midpoint_sampling_option(self):
         ts = np.linspace(0.0, 1.0, 101)
         ws = np.column_stack([np.sin(ts), np.cos(ts), 0.5 * np.ones_like(ts)])
@@ -433,14 +472,19 @@ PUBLIC_INCREMENTS = {
 
 def first_public_failure(r0, profile, dt, n_steps, method):
     """Message prefix and error type of the first check the step-by-step
-    path fails: step k checks its increment, as the public step_* call
-    builds it, then the sample k + 1: the one step_exponential produces, or
-    for euler_renorm the one renorm_reference corrects."""
+    path fails: step k checks its dt * w, as _rotation_vector does, then
+    its increment, as the public step_* call builds it, then the sample
+    k + 1: the one step_exponential produces, or for euler_renorm the one
+    renorm_reference corrects."""
     state, raw = r0, r0.matrix
     for k in range(n_steps):
         w = sample_rate(profile, k * dt)
         try:
-            inc = PUBLIC_INCREMENTS[method](dt * w, r0.tol)
+            phi = propagator._rotation_vector(w, dt)
+        except So3Error as exc:
+            return f"step {k} (t = {k * dt}): ", type(exc)
+        try:
+            inc = PUBLIC_INCREMENTS[method](phi, r0.tol)
         except So3Error as exc:
             return f"increment of step {k} (t = {k * dt}): ", type(exc)
         try:
@@ -460,16 +504,22 @@ class TestPropagateValidation:
         (Method.EXPONENTIAL, 1e-17, "increment"),
         (Method.EULER_RENORM, 4.5e-16, "sample"),
         (Method.EULER_RENORM, 1e-16, "increment"),
+        (Method.EULER_RENORM, 1e-15, "step"),
     ])
     def test_tight_tolerance_names_first_failure(self, method, ortho_tol, where):
         ts = np.linspace(0.0, 1.0, 11)
         ws = np.column_stack([np.sin(3 * ts), np.cos(2 * ts), 0.5 + ts])
+        dt = 1e-3
+        if where == "step":  # the same profile slowed to dt = 2, where dt * w can overflow
+            ts, ws, dt = 2000.0 * ts, ws / 2000.0, 2.0
+            ws[-2:] = 1e308
         profile = RateProfile(ts, ws)
         r0 = RotationMatrix.identity(ToleranceConfig(ortho_tol=ortho_tol))
-        prefix, error = first_public_failure(r0, profile, 1e-3, 1000, method)
-        assert error is NotOrthogonal and prefix.startswith(where)
-        with pytest.raises(NotOrthogonal) as info:
-            propagate(r0, profile, 1e-3, method)
+        prefix, error = first_public_failure(r0, profile, dt, 1000, method)
+        assert error is (NonFinite if where == "step" else NotOrthogonal)
+        assert prefix.startswith(where)
+        with pytest.raises(error) as info:
+            propagate(r0, profile, dt, method)
         assert str(info.value).startswith(prefix)
 
     def test_euler_is_never_validated(self):
@@ -571,6 +621,53 @@ class TestPropagateMethods:
                         [Method.EULER, Method.EULER_RENORM, Method.EXPONENTIAL]):
             got = raised(lambda: propagator.propagate_methods(r0, profile, 1e-3, methods))
             assert got == errors[[m for m in methods if m is not Method.EULER][0]]
+
+
+class TestFailureOrder:
+    """propagate raises the error that stepping in turn meets first: step k
+    checks its dt * w, then its increment, then the sample k + 1."""
+
+    # |dt * w|^2 overflows from step 3 (t = 6) on, dt * w itself at step 5 (t = 10).
+    profile = RateProfile(np.array([0.0, 5.0, 10.0, 12.0]),
+                          np.array([[1.0, 0.0, 0.0], [1e300, 0.0, 0.0],
+                                    [1e308, 0.0, 0.0], [1e308, 0.0, 0.0]]),
+                          Interpolation.ZERO_ORDER_HOLD)
+
+    messages = {
+        Method.EXPONENTIAL: "increment of step 3 (t = 6.0): matrix has non-finite entries",
+        Method.EULER: "sample 5 (t = 10.0): matrix has non-finite entries",
+        Method.EULER_RENORM: "step 5 (t = 10.0): rotation increment dt * w "
+                             "has non-finite components: [inf  0.  0.]",
+    }
+
+    @pytest.mark.parametrize("method", list(Method))
+    def test_each_method_raises_its_first_failure(self, method):
+        r0 = RotationMatrix.identity()
+        assert raised(lambda: propagate(r0, self.profile, 2.0, method)) == \
+            (NonFinite, self.messages[method])
+        if method in PUBLIC_INCREMENTS:
+            prefix, _ = first_public_failure(r0, self.profile, 2.0, 6, method)
+            assert self.messages[method].startswith(prefix)
+
+    @pytest.mark.parametrize("methods", TestPropagateMethods.orders + [
+        [Method.EULER, Method.EXPONENTIAL],
+        [Method.EXPONENTIAL, Method.EULER_RENORM],
+    ])
+    def test_propagate_methods_raises_as_a_loop_of_propagate(self, methods):
+        r0 = RotationMatrix.identity()
+        first = (NonFinite, self.messages[methods[0]])
+        assert raised(lambda: [propagate(r0, self.profile, 2.0, m) for m in methods]) == first
+        assert raised(lambda: propagator.propagate_methods(r0, self.profile, 2.0, methods)) == \
+            first
+
+    @pytest.mark.parametrize("method", [Method.EXPONENTIAL, Method.EULER_RENORM])
+    def test_an_increment_off_so3_precedes_a_late_overflowing_rate(self, method):
+        profile = RateProfile(np.array([0.0, 5.0, 10.0]),
+                              np.array([[0.3, -0.2, 1.0], [1e308, 0.0, 0.0], [1e308, 0.0, 0.0]]),
+                              Interpolation.ZERO_ORDER_HOLD)
+        r0 = RotationMatrix.identity(ToleranceConfig(ortho_tol=1e-17))
+        error, message = raised(lambda: propagate(r0, profile, 2.0, method))
+        assert error is NotOrthogonal and message.startswith("increment of step 0 (t = 0.0): ")
 
 
 class TestHugeRates:
