@@ -11,7 +11,6 @@ import functools
 import json
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +24,7 @@ from .propagator import (
     Method,
     RateProfile,
     RateSampling,
+    _trajectory,
     drift_report,
     propagate_methods,
 )
@@ -177,7 +177,7 @@ def cmd_propagate(args) -> int:
     # all methods run before any file is written
     trajs = propagate_methods(r0, profile, args.dt, methods, RateSampling(args.rate_sampling))
     if args.degrees:
-        trajs = [replace(traj, degrees_input=True) for traj in trajs]
+        trajs = [_trajectory(**{**vars(traj), "degrees_input": True}) for traj in trajs]
 
     reports = []
     for method, traj in zip(methods, trajs):

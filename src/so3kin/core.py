@@ -105,8 +105,11 @@ def row_norms(x: np.ndarray) -> np.ndarray:
 
 
 def ortho_defects(mats: np.ndarray) -> np.ndarray:
-    """Frobenius norms of M^T M - I over a (..., 3, 3) stack."""
-    gram = np.swapaxes(mats, -1, -2) @ mats - np.eye(3)
+    """Frobenius norms of M^T M - I over a (..., 3, 3) stack.
+
+    The transpose is copied first: numpy takes a slow stacked path when one
+    operand is the transpose of the other, and the copy gives the same bits."""
+    gram = np.swapaxes(mats, -1, -2).copy() @ mats - np.eye(3)
     return row_norms(gram.reshape(gram.shape[:-2] + (9,)))
 
 

@@ -17,7 +17,7 @@ entry is an error.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -178,6 +178,16 @@ class Trajectory:
         return self.matrices[-1]
 
 
+def _trajectory(**values) -> Trajectory:
+    """Trajectory(**values) without __post_init__, for values that already
+    pass it: read-only times on the uniform grid propagate built and
+    read-only matching matrices.  Fields left out take their defaults."""
+    traj = object.__new__(Trajectory)
+    for f in fields(Trajectory):
+        object.__setattr__(traj, f.name, values.get(f.name, f.default))
+    return traj
+
+
 def _read_only(arr: np.ndarray) -> np.ndarray:
     """arr itself if it is read-only, else a read-only copy: an array is
     held once, and no caller can write to it afterwards."""
@@ -308,8 +318,9 @@ _THREE_I = 3.0 * np.eye(3)
 
 def _newton_polar(x: np.ndarray) -> np.ndarray:
     """One Newton-Schulz step towards the polar factor of each near-orthogonal
-    3x3 matrix of a (..., 3, 3) stack: x (3I - x^T x) / 2."""
-    return np.matmul(x, _THREE_I - np.matmul(np.swapaxes(x, -1, -2), x)) * 0.5
+    3x3 matrix of a (..., 3, 3) stack: x (3I - x^T x) / 2, its Gram product
+    on a copied transpose as in ortho_defects."""
+    return np.matmul(x, _THREE_I - np.matmul(np.swapaxes(x, -1, -2).copy(), x)) * 0.5
 
 
 def _check_step(dt: float) -> None:
@@ -375,8 +386,8 @@ def _propagate(r0, profile, dt, methods, rate_sampling) -> list[Trajectory]:
             (finite, np.zeros_like(defects), np.ones_like(dets))
         _raise_first(bad_rate, bad_increments[i],
                      _first_failure(*(x[1:] for x in judged), r0.tol), times)
-        trajectories.append(Trajectory(times, chain, method.value, dt, truncated,
-                                       drift=_drift(times, defects, dets)))
+        trajectories.append(_trajectory(times=times, matrices=chain, method=method.value, dt=dt,
+                                        truncated_span=truncated, drift=_drift(times, defects, dets)))
     return trajectories
 
 
@@ -403,13 +414,14 @@ def _chains(r0, profile, starts, dt, rate_sampling, methods):
     mats = np.empty((len(methods), len(phis) + 1, 3, 3))
     mats[:, 0] = r0.matrix
     # Only the chains R[k+1] = E[k] @ R[k] are serial: one np.matmul advances
-    # them all, while np.dot, ~30% cheaper per 3x3 product, serves one chain.
-    product, chains, stack = (np.dot, mats[0], increments[0]) if len(methods) == 1 \
+    # them all, while one chain takes ndarray.dot: np.dot's C routine without
+    # its array-function dispatch, under half np.matmul's cost per 3x3 product.
+    product, chains, stack = (np.ndarray.dot, mats[0], increments[0]) if len(methods) == 1 \
         else (np.matmul, mats.swapaxes(0, 1), increments.swapaxes(0, 1))
     # A raw euler chain can overflow; its first non-finite sample is named later.
     with np.errstate(over="ignore", invalid="ignore"):
         for inc, cur, nxt in zip(stack, chains[:-1], chains[1:]):
-            product(inc, cur, out=nxt)
+            product(inc, cur, nxt)
     return mats, bad_rate, bad_increments
 
 

@@ -61,6 +61,22 @@ def random_rotation(rng):
     return q
 
 
+def gram_operands(seed=20, n=500):
+    """(N, 3, 3) stacks and single matrices in every memory layout the
+    package's Gram products M^T M meet: near-rotations with a few general
+    matrices among them, C-ordered, transposed, strided (m[::3]), the
+    strided view read_trajectory returns (columns 1:10 of a 12-column
+    table), and one matrix alone, plain and transposed."""
+    rng = np.random.default_rng(seed)
+    mats = np.array([random_rotation(rng) for _ in range(n)])
+    mats += 1e-9 * rng.normal(size=mats.shape)
+    mats[::7] = rng.normal(size=mats[::7].shape)
+    table = np.column_stack([np.arange(float(n)), mats.reshape(n, 9), np.zeros((n, 2))])
+    return {"c_ordered": mats, "transposed": np.swapaxes(mats, -1, -2), "strided": mats[::3],
+            "read_trajectory_view": table[:, 1:10].reshape(-1, 3, 3),
+            "single": mats[5], "single_transposed": mats[5].T}
+
+
 def rz(theta):
     c, s = np.cos(theta), np.sin(theta)
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])

@@ -11,6 +11,7 @@ import pytest
 
 import so3kin
 from so3kin import io as kio
+from so3kin import propagator
 from so3kin.algebra import exp_so3
 from so3kin.cli import main
 from so3kin.propagator import RateProfile
@@ -82,6 +83,17 @@ class TestPropagateCommand:
         expected = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
         assert np.linalg.norm(traj.final() - expected) <= 1e-9
         assert "# degrees_input=true" in out.read_text()
+
+    def test_degrees_relabel_does_not_recheck_the_grid(self, tmp_path, capsys, monkeypatch):
+        checks = []
+        monkeypatch.setattr(propagator, "uniform_step", lambda times: checks.append(times))
+        prof = tmp_path / "wdeg.csv"
+        prof.write_text("t,wx,wy,wz\n0,0,0,90\n1,0,0,90\n")
+        assert run(["propagate", "--input", prof, "--dt", "0.01", "--degrees", "--method", "all",
+                    "--output", tmp_path / "traj.csv"]) == 0
+        assert checks == []
+        for method in ("euler", "euler_renorm", "exp"):
+            assert "# degrees_input=true" in (tmp_path / f"traj.{method}.csv").read_text()
 
     def test_euler_overflow_is_one_error_line(self, tmp_path, capsys):
         prof = tmp_path / "huge.csv"

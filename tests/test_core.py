@@ -24,7 +24,13 @@ from so3kin.core import (
     validate_rotation,
 )
 
-from oracles import matmul3, random_rotation, svd_project, two_tolerance_membership
+from oracles import (
+    gram_operands,
+    matmul3,
+    random_rotation,
+    svd_project,
+    two_tolerance_membership,
+)
 
 finite_component = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 
@@ -154,6 +160,17 @@ class TestSignOnlyMembership:
         mats[4] = 1.1 * self.reflection
         index, error = self.sign_only(mats)
         assert (index, type(error)) == (4, NotOrthogonal)
+
+
+@pytest.mark.parametrize("layout, mats", gram_operands().items())
+def test_ortho_defects_are_the_plain_gram_product_bit_for_bit(layout, mats):
+    # ortho_defects multiplies a contiguous copy of the transpose, numpy's
+    # fast stacked path; a BLAS that rounds its transposed kernel otherwise fails here
+    gram = np.swapaxes(mats, -1, -2) @ mats - np.eye(3)
+    plain = core.row_norms(gram.reshape(-1, 9))
+    got = np.atleast_1d(core.ortho_defects(mats))
+    assert got.shape == plain.shape
+    assert np.array_equal(got.view(np.uint64), plain.view(np.uint64))
 
 
 @pytest.mark.parametrize("coerce, value, message", [

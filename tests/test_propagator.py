@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from so3kin import core, propagator
+from so3kin import io as kio
 from so3kin.algebra import Axis, elementary_rotation, exp_so3
 from so3kin.core import (
     NonFinite,
@@ -38,7 +39,7 @@ from so3kin.propagator import (
     step_exponential,
 )
 
-from oracles import matmul3, random_rotation, rz, series_exp, skew3, svd_project
+from oracles import gram_operands, matmul3, random_rotation, rz, series_exp, skew3, svd_project
 
 
 class TestRateProfile:
@@ -464,6 +465,15 @@ class TestPropagateMatchesPublicSteps:
         assert calls == [(n_steps, 3, 3)]
 
 
+@pytest.mark.parametrize("layout, x", gram_operands().items())
+def test_newton_polar_is_the_plain_gram_product_bit_for_bit(layout, x):
+    # _newton_polar multiplies a contiguous copy of x^T, numpy's fast stacked path
+    plain = np.matmul(x, 3.0 * np.eye(3) - np.matmul(np.swapaxes(x, -1, -2), x)) * 0.5
+    got = propagator._newton_polar(x)
+    assert got.shape == plain.shape
+    assert np.array_equal(got.view(np.uint64), plain.view(np.uint64))
+
+
 PUBLIC_INCREMENTS = {
     Method.EXPONENTIAL: exp_so3,
     Method.EULER_RENORM: lambda phi, tol: RotationMatrix(_polar_increments(phi), tol),
@@ -869,3 +879,35 @@ class TestTrajectory:
         times[4] = 0.42
         with pytest.raises(NonUniformSampling, match=re.escape("sample 4 (t = 0.42): step ")):
             Trajectory(times, np.tile(np.eye(3), (11, 1, 1)), "exp", 0.1)
+
+
+class TestGridCheckedOnce:
+    """propagate builds its uniform grid itself, so its trajectories skip
+    Trajectory's check of it; a trajectory read from a file is checked once."""
+
+    profile = RateProfile.constant((0.3, -0.2, 1.0), 0.0, 0.5)
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        seen = []
+
+        def spy(times):
+            seen.append(len(times))
+            return uniform_step(times)
+
+        uniform_step = propagator.uniform_step
+        monkeypatch.setattr(propagator, "uniform_step", spy)
+        return seen
+
+    def test_propagate_methods_makes_no_check(self, checks):
+        trajs = propagator.propagate_methods(RotationMatrix.identity(), self.profile, 0.01,
+                                             list(Method))
+        assert [len(traj) for traj in trajs] == [51] * 3 and checks == []
+        assert not any(traj.times.flags.writeable or traj.matrices.flags.writeable
+                       for traj in trajs)
+
+    def test_read_trajectory_checks_once(self, checks, tmp_path):
+        traj = propagate(RotationMatrix.identity(), self.profile, 0.01, Method.EXPONENTIAL)
+        kio.write_trajectory(tmp_path / "traj.csv", traj, drift_report(traj))
+        read = kio.read_trajectory(tmp_path / "traj.csv")
+        assert checks == [51] and np.array_equal(read.matrices, traj.matrices)
