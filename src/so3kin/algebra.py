@@ -30,6 +30,7 @@ __all__ = [
     "rotation_from_frames",
     "compose_fixed",
     "infinitesimal_rotation",
+    "infinitesimal_matrices",
     "compose_infinitesimal",
     "exp_so3",
     "exp_matrices",
@@ -101,7 +102,12 @@ def infinitesimal_rotation(dphi) -> np.ndarray:
     Returned as a plain 3x3 array, not a RotationMatrix: it is orthogonal
     only to first order in ||dphi||.
     """
-    return np.eye(3) + skew_matrices(as_vec3(dphi))
+    return infinitesimal_matrices(as_vec3(dphi))
+
+
+def infinitesimal_matrices(phis: np.ndarray) -> np.ndarray:
+    """I + hat(phi) over (..., 3) vectors, giving (..., 3, 3) matrices."""
+    return np.eye(3) + skew_matrices(phis)
 
 
 def compose_infinitesimal(d1, d2) -> np.ndarray:

@@ -158,9 +158,6 @@ def _method_output_path(base: str, method: Method) -> Path:
 
 
 def cmd_propagate(args) -> int:
-    if not (np.isfinite(args.dt) and args.dt > 0):
-        print(f"error: --dt must be positive, got {args.dt}", file=sys.stderr)
-        return 1
     tol = _tol(args)
     profile = kio.read_rate_profile(args.input, Interpolation(args.interp),
                                     degrees=args.degrees)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .algebra import _SMALL_ANGLE, exp_matrices, exp_so3
+from .algebra import _SMALL_ANGLE, exp_matrices, exp_so3, infinitesimal_matrices
 from .core import (
     NonFinite,
     RotationMatrix,
@@ -31,7 +31,6 @@ from .core import (
     as_vec3,
     ortho_defects,
     row_norms,
-    skew_matrices,
 )
 
 __all__ = [
@@ -270,7 +269,7 @@ def step_euler(r, omega, dt: float) -> np.ndarray:
     whose orthogonality defect grows as dt^2."""
     phi = _rotation_vector(omega, dt)
     m = r.matrix if isinstance(r, RotationMatrix) else np.asarray(r, dtype=float)
-    return (np.eye(3) + skew_matrices(phi)) @ m
+    return infinitesimal_matrices(phi) @ m
 
 
 def step_euler_renorm(r: RotationMatrix, omega, dt: float) -> RotationMatrix:
@@ -328,20 +327,22 @@ def _check_step(dt: float) -> None:
         raise BadStep(f"dt must be positive and finite, got {dt}")
 
 
-_INCREMENTS = {Method.EXPONENTIAL: exp_matrices, Method.EULER_RENORM: _polar_increments,
-               Method.EULER: lambda phis: np.eye(3) + skew_matrices(phis)}
+# Per method: its increments from the (n, 3) rows dt * w, whether they and its samples
+# are judged as rotations (else by overflow only), and the correction of its chained samples.
+_SCHEMES = {Method.EXPONENTIAL: (exp_matrices, True, None),
+            Method.EULER: (infinitesimal_matrices, False, None),
+            Method.EULER_RENORM: (_polar_increments, True, _newton_polar)}
 
 
 def propagate(r0: RotationMatrix, profile: RateProfile, dt: float, method: Method,
               rate_sampling: RateSampling = RateSampling.START) -> Trajectory:
     """Integrate the rate identity over the profile span on a uniform grid.
 
-    The rate for each step is evaluated at the step start (see
-    RateSampling).  If the span is not an integer multiple of dt the grid
-    is truncated to the last full step (never extrapolated); the
-    truncation is recorded on the trajectory.
+    Each step's rate is sampled where rate_sampling says.  If the span is
+    not an integer multiple of dt the grid is truncated to the last full
+    step (never extrapolated); the truncation is recorded on the trajectory.
     """
-    return _propagate(r0, profile, dt, (method,), rate_sampling)[0]
+    return propagate_methods(r0, profile, dt, (method,), rate_sampling)[0]
 
 
 def propagate_methods(r0: RotationMatrix, profile: RateProfile, dt: float, methods: list[Method],
@@ -353,10 +354,6 @@ def propagate_methods(r0: RotationMatrix, profile: RateProfile, dt: float, metho
     trajectory keeps every method's samples in memory.  Each method raises
     its first failure in step order, as a chain of step_* calls meets it:
     step k checks its dt * w, then its increment, then sample k + 1."""
-    return _propagate(r0, profile, dt, methods, rate_sampling)
-
-
-def _propagate(r0, profile, dt, methods, rate_sampling) -> list[Trajectory]:
     methods, rate_sampling = tuple(map(Method, methods)), RateSampling(rate_sampling)
     _check_step(dt)
     t0, tf = profile.span
@@ -373,29 +370,29 @@ def _propagate(r0, profile, dt, methods, rate_sampling) -> list[Trajectory]:
                       "too many to form") from None
     truncated = n_steps * dt < span * (1.0 - 1e-12)
     times.flags.writeable = False
-    mats, bad_rate, bad_increments = _chains(r0, profile, times[:-1], dt, rate_sampling, methods)
+    schemes = [_SCHEMES[method] for method in methods]
+    mats, bad_rate, bad_incs = _chains(r0, profile, times[:-1], dt, rate_sampling, schemes)
     trajectories = []
-    for i, method in enumerate(methods):
-        chain = mats[i]
-        if method is Method.EULER_RENORM:
-            chain[1:] = _newton_polar(chain[1:])
+    for chain, bad_inc, method, (_, rotations, correct) in zip(mats, bad_incs, methods, schemes):
+        if correct:
+            chain[1:] = correct(chain[1:])
         chain.flags.writeable = False
-        # One pass serves the check and the drift report; raw euler fails only by overflow.
+        # One pass serves the check and the drift report.
         finite, defects, dets = _membership_terms(chain)
-        judged = (finite, defects, dets) if method is not Method.EULER else \
+        judged = (finite, defects, dets) if rotations else \
             (finite, np.zeros_like(defects), np.ones_like(dets))
-        _raise_first(bad_rate, bad_increments[i],
+        _raise_first(bad_rate, bad_inc,
                      _first_failure(*(x[1:] for x in judged), r0.tol), times)
         trajectories.append(_trajectory(times=times, matrices=chain, method=method.value, dt=dt,
                                         truncated_span=truncated, drift=_drift(times, defects, dets)))
     return trajectories
 
 
-def _chains(r0, profile, starts, dt, rate_sampling, methods):
-    """(mats, bad_rate, bad_increments): the (M, n+1, 3, 3) samples of each
-    method's uncorrected chain from r0 over the n steps from starts that
+def _chains(r0, profile, starts, dt, rate_sampling, schemes):
+    """(mats, bad_rate, bad_incs): the (M, n+1, 3, 3) samples of each
+    scheme's uncorrected chain from r0 over the n steps from starts that
     precede the first whose dt * w is not finite, that step as (k, error) or
-    None, and per method the first increment off SO(3) likewise (euler: None)."""
+    None, and per scheme the first increment off SO(3) likewise."""
     offset = 0.5 * dt if rate_sampling is RateSampling.MIDPOINT else 0.0
     phis = sample_rates(profile, starts + offset)
     with np.errstate(over="ignore"):  # an overflow is a failure of its step
@@ -405,24 +402,24 @@ def _chains(r0, profile, starts, dt, rate_sampling, methods):
     bad_rate = None if n == len(phis) else (n, NonFinite(
         f"rotation increment dt * w has non-finite components: {phis[n]}"))
     phis = phis[:n]
-    increments = np.empty((len(methods), len(phis), 3, 3))
-    bad_increments = []
-    for inc, method in zip(increments, methods):
-        inc[:] = _INCREMENTS[method](phis)
-        bad_increments.append(None if method is Method.EULER else
-                              _first_failure(*_membership_terms(inc, sign_only=True), r0.tol))
-    mats = np.empty((len(methods), len(phis) + 1, 3, 3))
+    increments = np.empty((len(schemes), len(phis), 3, 3))
+    bad_incs = []
+    for inc, (build, rotations, _) in zip(increments, schemes):
+        inc[:] = build(phis)
+        bad_incs.append(_first_failure(*_membership_terms(inc, sign_only=True), r0.tol)
+                        if rotations else None)
+    mats = np.empty((len(schemes), len(phis) + 1, 3, 3))
     mats[:, 0] = r0.matrix
     # Only the chains R[k+1] = E[k] @ R[k] are serial: one np.matmul advances
     # them all, while one chain takes ndarray.dot: np.dot's C routine without
     # its array-function dispatch, under half np.matmul's cost per 3x3 product.
-    product, chains, stack = (np.ndarray.dot, mats[0], increments[0]) if len(methods) == 1 \
+    product, chains, stack = (np.ndarray.dot, mats[0], increments[0]) if len(schemes) == 1 \
         else (np.matmul, mats.swapaxes(0, 1), increments.swapaxes(0, 1))
     # A raw euler chain can overflow; its first non-finite sample is named later.
     with np.errstate(over="ignore", invalid="ignore"):
         for inc, cur, nxt in zip(stack, chains[:-1], chains[1:]):
             product(inc, cur, nxt)
-    return mats, bad_rate, bad_increments
+    return mats, bad_rate, bad_incs
 
 
 def _raise_first(rate, increment, sample, times) -> None:

@@ -12,6 +12,7 @@ from so3kin.algebra import (
     elementary_rotation,
     exp_so3,
     hat,
+    infinitesimal_matrices,
     infinitesimal_rotation,
     log_so3,
     rotation_from_frames,
@@ -19,6 +20,7 @@ from so3kin.algebra import (
 )
 from so3kin.core import DegenerateFrame, Frame, NonFinite, NotProperRotation, validate_rotation
 from so3kin.differential import estimate_convergence_order
+from so3kin.propagator import step_euler
 
 from oracles import matmul3, random_rotation, series_exp
 
@@ -152,6 +154,15 @@ class TestInfinitesimalRotation:
     def test_equals_identity_plus_hat(self):
         d = np.array([0.3, -0.1, 0.7])
         assert np.array_equal(infinitesimal_rotation(d), np.eye(3) + hat(d).matrix)
+        # the stack form is the one I + hat(phi): per row, and inside step_euler, bit for bit
+        rng = np.random.default_rng(21)
+        phis = rng.normal(scale=0.1, size=(50, 3))
+        per_row = np.array([infinitesimal_rotation(phi) for phi in phis])
+        stack = infinitesimal_matrices(phis)
+        assert np.array_equal(stack.view(np.uint64), per_row.view(np.uint64))
+        r, w, dt = random_rotation(rng), rng.normal(size=3), 1e-3
+        assert np.array_equal(step_euler(r, w, dt).view(np.uint64),
+                              (infinitesimal_rotation(dt * w) @ r).view(np.uint64))
 
     def test_order_independence_and_first_order_accuracy(self):
         # all 6 orderings of elementary rotations by (eps, eps, eps) agree

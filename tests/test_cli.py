@@ -53,7 +53,7 @@ class TestPropagateCommand:
         code = run(["propagate", "--input", const_profile, "--dt", "0",
                     "--output", tmp_path / "traj.csv"])
         assert code == 1
-        assert "--dt" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: dt must be positive and finite, got 0.0\n"
 
     def test_a_step_count_too_large_to_form_is_one_error_line(self, tmp_path, const_profile,
                                                               capsys):

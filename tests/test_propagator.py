@@ -458,8 +458,8 @@ class TestPropagateMatchesPublicSteps:
             calls.append(x.shape)
             return newton_polar(x)
 
-        newton_polar = propagator._newton_polar
-        monkeypatch.setattr(propagator, "_newton_polar", counting)
+        build, rotations, newton_polar = propagator._SCHEMES[Method.EULER_RENORM]
+        monkeypatch.setitem(propagator._SCHEMES, Method.EULER_RENORM, (build, rotations, counting))
         profile = RateProfile.constant((0.3, -0.2, 1.0), 0.0, 1.0)
         propagate(RotationMatrix.identity(), profile, 1.0 / n_steps, Method.EULER_RENORM)
         assert calls == [(n_steps, 3, 3)]
