@@ -137,7 +137,12 @@ def exp_matrices(phis: np.ndarray) -> np.ndarray:
         a = np.where(theta < _SMALL_ANGLE, 1.0 - t2 / 6.0, np.sin(theta) / theta)
         b = np.where(theta < _SMALL_ANGLE, 0.5 - t2 / 24.0, (1.0 - np.cos(theta)) / t2)
         s = skew_matrices(phis)
-        return np.eye(3) + a * s + b * (s @ s)
+        s2 = s @ s  # then in place: a stack holds two (..., 3, 3) arrays at most
+        s2 *= b
+        s *= a
+        s += np.eye(3)  # a s + I: addition commutes, so these are I + a s + b s^2's bits
+        s += s2
+        return s
 
 
 def log_so3(r: RotationMatrix) -> np.ndarray:

@@ -181,7 +181,7 @@ def cmd_propagate(args) -> int:
         drift = drift_report(traj)
         out = _method_output_path(args.output, method) if len(methods) > 1 \
             else Path(args.output)
-        kio.write_trajectory(out, traj, drift)
+        kio.write_trajectory(out, traj)
         reports.append(kio.report_dict(
             method=method.value, dt=args.dt, steps=len(traj) - 1,
             max_ortho_err=drift.max_ortho_err, max_det_err=drift.max_det_err,

@@ -121,12 +121,15 @@ def residual_order_report(trajectory, profile, strides=(1, 2, 4)) -> ResidualRep
     is None.  per_sample and max_residual refer to the finest (smallest
     stride) grid.
 
-    Raises DegenerateInput, naming the strides, unless they hold at least
-    two distinct values and all are positive, or when the maximum is 0 at
+    Raises DegenerateInput, naming the strides, unless they are integers,
+    at least two distinct and all positive, or when the maximum is 0 at
     some strides but not all; TooFewSamples, naming the largest stride, when
     it leaves fewer than 3 samples.
     """
-    given = [int(s) for s in strides]
+    given = list(strides)
+    if not all(isinstance(s, (int, np.integer)) for s in given):
+        raise DegenerateInput(f"strides must be integers, got {given}")
+    given = [int(s) for s in given]
     strides = sorted(set(given))
     if len(strides) < 2 or strides[0] < 1:
         raise DegenerateInput(f"need at least two distinct positive strides, got {given}")

@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from . import numtext
-from .propagator import DriftReport, Interpolation, RateProfile, Trajectory
+from .propagator import Interpolation, RateProfile, Trajectory, drift_report
 
 __all__ = [
     "ParseError",
@@ -156,7 +156,7 @@ def write_rate_profile(path, profile: RateProfile) -> None:
     _write_table(path, PROFILE_HEADER, np.column_stack([profile.times, profile.omegas]))
 
 
-def write_trajectory(path, traj: Trajectory, drift: DriftReport) -> None:
+def write_trajectory(path, traj: Trajectory) -> None:
     header = "\n".join([
         "# so3kin trajectory",
         f"# method={traj.method}",
@@ -166,7 +166,7 @@ def write_trajectory(path, traj: Trajectory, drift: DriftReport) -> None:
         TRAJECTORY_HEADER,
     ])
     _write_table(path, header, np.column_stack([traj.times, traj.matrices.reshape(len(traj), 9),
-                                                np.asarray(drift.per_sample)[:, 1:]]))
+                                                np.asarray(drift_report(traj).per_sample)[:, 1:]]))
 
 
 def read_trajectory(path) -> Trajectory:

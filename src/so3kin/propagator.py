@@ -89,12 +89,11 @@ class Method(enum.Enum):
 class RateSampling(enum.Enum):
     """Where the per-step angular velocity is evaluated.
 
-    START keeps the classic first-order accuracy story for the Euler
-    stepper.  With MIDPOINT evaluation euler_renorm is second order, like
-    the exponential stepper: the polar factor of I + hat(phi) is the
-    rotation by atan|phi| about phi, and atan t = t - t^3/3 + ..., so a
-    step of dt turns O(dt^3) short of the exponential step.  START is
-    therefore the default.
+    START, the default, keeps the classic first-order Euler stepper and the
+    bytes propagate has always written.  With MIDPOINT euler_renorm is second
+    order, like the exponential stepper: the polar factor of I + hat(phi) is
+    the rotation by atan|phi| about phi, and atan t = t - t^3/3 + ..., so a
+    step of dt turns O(dt^3) short of the exponential step.
     """
 
     START = "start"
@@ -347,13 +346,10 @@ def propagate(r0: RotationMatrix, profile: RateProfile, dt: float, method: Metho
 
 def propagate_methods(r0: RotationMatrix, profile: RateProfile, dt: float, methods: list[Method],
                       rate_sampling: RateSampling = RateSampling.START) -> list[Trajectory]:
-    """propagate with each method in turn, in one pass: the rates are sampled
-    once and the chains advance together.  The trajectories, and the error
-    raised first, are those of [propagate(...) for method in methods], but
-    their matrices are views of one (M, N+1, 3, 3) array: holding any one
-    trajectory keeps every method's samples in memory.  Each method raises
-    its first failure in step order, as a chain of step_* calls meets it:
-    step k checks its dt * w, then its increment, then sample k + 1."""
+    """[propagate(...) for method in methods], trajectories and first error
+    alike, with the rates sampled once.  Each method then runs its own _chain
+    pass, which raises its first failure in step order, as step_* calls meet
+    it: step k checks its dt * w, then its increment, then sample k + 1."""
     methods, rate_sampling = tuple(map(Method, methods)), RateSampling(rate_sampling)
     _check_step(dt)
     t0, tf = profile.span
@@ -370,56 +366,41 @@ def propagate_methods(r0: RotationMatrix, profile: RateProfile, dt: float, metho
                       "too many to form") from None
     truncated = n_steps * dt < span * (1.0 - 1e-12)
     times.flags.writeable = False
-    schemes = [_SCHEMES[method] for method in methods]
-    mats, bad_rate, bad_incs = _chains(r0, profile, times[:-1], dt, rate_sampling, schemes)
-    trajectories = []
-    for chain, bad_inc, method, (_, rotations, correct) in zip(mats, bad_incs, methods, schemes):
-        if correct:
-            chain[1:] = correct(chain[1:])
-        chain.flags.writeable = False
-        # One pass serves the check and the drift report.
-        finite, defects, dets = _membership_terms(chain)
-        judged = (finite, defects, dets) if rotations else \
-            (finite, np.zeros_like(defects), np.ones_like(dets))
-        _raise_first(bad_rate, bad_inc,
-                     _first_failure(*(x[1:] for x in judged), r0.tol), times)
-        trajectories.append(_trajectory(times=times, matrices=chain, method=method.value, dt=dt,
-                                        truncated_span=truncated, drift=_drift(times, defects, dets)))
-    return trajectories
-
-
-def _chains(r0, profile, starts, dt, rate_sampling, schemes):
-    """(mats, bad_rate, bad_incs): the (M, n+1, 3, 3) samples of each
-    scheme's uncorrected chain from r0 over the n steps from starts that
-    precede the first whose dt * w is not finite, that step as (k, error) or
-    None, and per scheme the first increment off SO(3) likewise."""
     offset = 0.5 * dt if rate_sampling is RateSampling.MIDPOINT else 0.0
-    phis = sample_rates(profile, starts + offset)
+    phis = sample_rates(profile, times[:-1] + offset)
     with np.errstate(over="ignore"):  # an overflow is a failure of its step
         phis *= dt
     finite = np.isfinite(phis).all(axis=1)
     n = len(phis) if finite.all() else int(np.argmin(finite))  # steps before a non-finite one
     bad_rate = None if n == len(phis) else (n, NonFinite(
         f"rotation increment dt * w has non-finite components: {phis[n]}"))
-    phis = phis[:n]
-    increments = np.empty((len(schemes), len(phis), 3, 3))
-    bad_incs = []
-    for inc, (build, rotations, _) in zip(increments, schemes):
-        inc[:] = build(phis)
-        bad_incs.append(_first_failure(*_membership_terms(inc, sign_only=True), r0.tol)
-                        if rotations else None)
-    mats = np.empty((len(schemes), len(phis) + 1, 3, 3))
-    mats[:, 0] = r0.matrix
-    # Only the chains R[k+1] = E[k] @ R[k] are serial: one np.matmul advances
-    # them all, while one chain takes ndarray.dot: np.dot's C routine without
-    # its array-function dispatch, under half np.matmul's cost per 3x3 product.
-    product, chains, stack = (np.ndarray.dot, mats[0], increments[0]) if len(schemes) == 1 \
-        else (np.matmul, mats.swapaxes(0, 1), increments.swapaxes(0, 1))
-    # A raw euler chain can overflow; its first non-finite sample is named later.
+    return [_chain(method, r0, phis[:n], bad_rate, times, dt, truncated) for method in methods]
+
+
+def _chain(method, r0, phis, bad_rate, times, dt, truncated) -> Trajectory:
+    """method's trajectory from r0 on the grid times over the rows dt * w before bad_rate,
+    the first non-finite step as (k, error) or None; raises its first failure in step order."""
+    build, rotations, correct = _SCHEMES[method]
+    incs = build(phis)
+    bad_inc = _first_failure(*_membership_terms(incs, sign_only=True), r0.tol) \
+        if rotations else None
+    mats = np.empty((len(phis) + 1, 3, 3))
+    mats[0] = r0.matrix
+    # ndarray.dot is np.dot's C routine without array-function dispatch, under half np.matmul's
+    # cost per 3x3 product.  A raw euler chain can overflow; its bad sample is named below.
     with np.errstate(over="ignore", invalid="ignore"):
-        for inc, cur, nxt in zip(stack, chains[:-1], chains[1:]):
-            product(inc, cur, nxt)
-    return mats, bad_rate, bad_incs
+        for inc, cur, nxt in zip(incs, mats[:-1], mats[1:]):
+            inc.dot(cur, nxt)
+    incs = inc = None  # inc is a view: this frees the increments before the checks below
+    if correct:
+        mats[1:] = correct(mats[1:])
+    mats.flags.writeable = False
+    finite, defects, dets = _membership_terms(mats)
+    judged = (finite, defects, dets) if rotations else \
+        (finite, np.zeros_like(defects), np.ones_like(dets))
+    _raise_first(bad_rate, bad_inc, _first_failure(*(x[1:] for x in judged), r0.tol), times)
+    return _trajectory(times=times, matrices=mats, method=method.value, dt=dt,
+                       truncated_span=truncated, drift=_drift(times, defects, dets))
 
 
 def _raise_first(rate, increment, sample, times) -> None:

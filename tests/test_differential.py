@@ -228,6 +228,20 @@ class TestResidualOrderReport:
                 f"need at least two distinct positive strides, got {list(strides)}")):
             residual_order_report(traj, profile, strides)
 
+    @pytest.mark.parametrize("strides", [(1.9, 2.5, 4.99), (1, 2.0), (1, np.float64(2))])
+    def test_rejects_strides_that_are_not_integers(self, strides):
+        profile = RateProfile.constant((0.0, 0.0, 1.0), 0.0, 1.0)
+        traj = exact_trajectory((0.0, 0.0, 1.0), 0.0, 1.0, 1e-2)
+        with pytest.raises(DegenerateInput, match=re.escape(
+                f"strides must be integers, got {list(strides)}")):
+            residual_order_report(traj, profile, strides)
+
+    def test_numpy_integer_strides_are_integers(self):
+        profile = RateProfile.constant((0.0, 0.0, 1.0), 0.0, 1.0)
+        traj = exact_trajectory((0.0, 0.0, 1.0), 0.0, 1.0, 1e-2)
+        report = residual_order_report(traj, profile, np.array([4, 1, 2]))
+        assert report.step_sizes == residual_order_report(traj, profile, (1, 2, 4)).step_sizes
+
     def test_a_stride_leaving_too_few_samples_names_itself(self):
         profile = RateProfile.constant((0.0, 0.0, 1.0), 0.0, 1.0)
         traj = exact_trajectory((0.0, 0.0, 1.0), 0.0, 1.0, 1e-2)

@@ -18,7 +18,6 @@ from so3kin.propagator import (
     Method,
     RateProfile,
     Trajectory,
-    drift_report,
     propagate,
 )
 
@@ -118,7 +117,7 @@ def test_profile_bytes_are_fmt_of_every_value(tmp_path):
 def test_trajectory_round_trip_is_bit_identical(tmp_path, profile):
     traj = propagate(RotationMatrix.identity(), profile, 0.01, Method.EULER)
     path = tmp_path / "traj.csv"
-    kio.write_trajectory(path, traj, drift_report(traj))
+    kio.write_trajectory(path, traj)
     back = kio.read_trajectory(path)
     assert np.array_equal(back.times, traj.times)
     assert np.array_equal(back.matrices, traj.matrices)
@@ -130,11 +129,12 @@ def test_trajectory_round_trip_is_bit_identical(tmp_path, profile):
 def test_trajectory_rows_are_fmt_of_every_value(tmp_path):
     m = np.array([[-0.0, 5e-324, 1e300], [-1e300, -5e-324, 0.0], [1.0 / 3.0, -0.0, 1.0]])
     mats = np.array([m, -m])
-    traj = Trajectory(times=np.array([-0.0, 1e-3]), matrices=mats, method="x", dt=1e-3)
     drift = DriftReport(per_sample=[(-0.0, 5e-324, -0.0), (1e-3, 1e300, 2.0 ** -1074)],
                         max_ortho_err=1e300, max_det_err=5e-324)
+    traj = Trajectory(times=np.array([-0.0, 1e-3]), matrices=mats, method="x", dt=1e-3,
+                      drift=drift)
     path = tmp_path / "traj.csv"
-    kio.write_trajectory(path, traj, drift)
+    kio.write_trajectory(path, traj)
     rows = [",".join(kio.fmt(x) for x in (t, *mat.reshape(9), ortho, det))
             for t, mat, (_, ortho, det) in zip(traj.times, mats, drift.per_sample)]
     header = path.read_text().splitlines()[:6]
@@ -292,7 +292,7 @@ def test_a_propagated_trajectory_is_formatted_in_bulk(tmp_path, monkeypatch):
         return cells, certified
 
     monkeypatch.setattr(numtext, "_format_cells", spy)
-    kio.write_trajectory(tmp_path / "traj.csv", traj, drift_report(traj))
+    kio.write_trajectory(tmp_path / "traj.csv", traj)
     assert len(traj) == 501
     assert all(abs(v) >= 1.0 for v in fallback)
 
@@ -385,7 +385,7 @@ def test_a_trajectory_file_is_written_in_two_blocks(tmp_path, monkeypatch):
 
     monkeypatch.setattr(numtext, "format_table", spy)
     path = tmp_path / "traj.csv"
-    kio.write_trajectory(path, traj, drift_report(traj))
+    kio.write_trajectory(path, traj)
     assert len(blocks) == 2
     assert path.read_text().endswith("".join(blocks) + "\n")
 

@@ -585,6 +585,11 @@ class TestPropagateMethods:
         got = propagator.propagate_methods(self.r0, profile, 1e-3, methods, sampling)
         same_trajectories(got, self.loop(profile, methods, sampling))
 
+    def test_each_trajectory_owns_its_samples(self):
+        profile = RateProfile(self.knots, self.rates)
+        trajs = propagator.propagate_methods(self.r0, profile, 1e-3, list(Method))
+        assert [traj.matrices.flags.owndata for traj in trajs] == [True] * 3
+
     def test_a_non_finite_rate_names_its_step(self):
         profile = RateProfile(np.array([0.0, 30.0, 40.0]),
                               np.array([[1.0, 0.0, 0.0], [1e308, 0.0, 0.0], [1e308, 0.0, 0.0]]),
@@ -908,6 +913,6 @@ class TestGridCheckedOnce:
 
     def test_read_trajectory_checks_once(self, checks, tmp_path):
         traj = propagate(RotationMatrix.identity(), self.profile, 0.01, Method.EXPONENTIAL)
-        kio.write_trajectory(tmp_path / "traj.csv", traj, drift_report(traj))
+        kio.write_trajectory(tmp_path / "traj.csv", traj)
         read = kio.read_trajectory(tmp_path / "traj.csv")
         assert checks == [51] and np.array_equal(read.matrices, traj.matrices)
