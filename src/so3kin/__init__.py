@@ -58,7 +58,6 @@ from .propagator import (
     Trajectory,
     drift_report,
     propagate,
-    propagate_methods,
     sample_rate,
     step_euler,
     step_euler_renorm,

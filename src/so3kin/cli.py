@@ -23,10 +23,9 @@ from .propagator import (
     Interpolation,
     Method,
     RateProfile,
-    RateSampling,
     _trajectory,
     drift_report,
-    propagate_methods,
+    propagate,
 )
 
 # Verification bound on the central-difference residual at step h:
@@ -172,7 +171,7 @@ def cmd_propagate(args) -> int:
         methods = [Method(args.method.replace("-", "_"))]
 
     # all methods run before any file is written
-    trajs = propagate_methods(r0, profile, args.dt, methods, RateSampling(args.rate_sampling))
+    trajs = [propagate(r0, profile, args.dt, m, args.rate_sampling) for m in methods]
     if args.degrees:
         trajs = [_trajectory(**{**vars(traj), "degrees_input": True}) for traj in trajs]
 
@@ -232,7 +231,11 @@ def cmd_compose(args) -> int:
     tol = _tol(args)
     first = _rotation_file(args.first, tol)
     second = _rotation_file(args.second, tol)
-    _emit("matrix", compose_fixed(first, second).matrix, args)
+    try:  # each file is a rotation, but their product can still fail the membership rule
+        product = compose_fixed(first, second)
+    except So3Error as exc:
+        raise type(exc)(f"{args.second} * {args.first}: {exc}") from None
+    _emit("matrix", product.matrix, args)
     return 0
 
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from .algebra import hat, log_so3
 from .core import RotationMatrix, So3Error, row_norms, skew_matrices
-from .propagator import NonUniformSampling, sample_rates, uniform_step
+from .propagator import NonUniformSampling, Trajectory, sample_rates
 
 __all__ = [
     "NonUniformSampling",
@@ -68,18 +68,17 @@ def differential_increment(dphi, r: RotationMatrix) -> np.ndarray:
 rotation_rate = differential_increment
 
 
-def finite_difference_residual(trajectory, profile) -> ResidualReport:
-    """Check a sampled trajectory against dR/dt = hat(w) @ R.
+def finite_difference_residual(trajectory: Trajectory, profile) -> ResidualReport:
+    """Check a Trajectory against dR/dt = hat(w) @ R.  Its time grid was
+    checked uniform when it was built, so it is not checked here.
 
     For each interior sample k the residual is the Frobenius norm of the
     central difference (R[k+1] - R[k-1]) / (2h) minus hat(w(t_k)) @ R[k].
     Endpoints are skipped so all residuals share the O(h^2) error order.
     """
-    times = np.asarray(trajectory.times, dtype=float)
-    if len(times) < 3:
-        raise TooFewSamples(f"need at least 3 samples, got {len(times)}")
-    uniform_step(times)
-    return _residual(times, np.asarray(trajectory.matrices, dtype=float), profile)
+    if len(trajectory) < 3:
+        raise TooFewSamples(f"need at least 3 samples, got {len(trajectory)}")
+    return _residual(trajectory.times, trajectory.matrices, profile)
 
 
 def _residual(times, mats, profile) -> ResidualReport:
@@ -110,16 +109,16 @@ def estimate_convergence_order(residuals) -> float:
     return float(slope)
 
 
-def residual_order_report(trajectory, profile, strides=(1, 2, 4)) -> ResidualReport:
-    """Residual report across several effective step sizes.
+def residual_order_report(trajectory: Trajectory, profile, strides=(1, 2, 4)) -> ResidualReport:
+    """Residual report of a Trajectory across several effective step sizes.
 
-    Checks the time grid once, then for each integer stride evaluates the
-    residual on every stride-th sample (a grid whose step, the mean of its
-    own intervals, is about stride * h), and regresses the maxima to
-    estimate the convergence order.  When every maximum is exactly 0 (a
-    trajectory at rest) there is no order to estimate and estimated_order
-    is None.  per_sample and max_residual refer to the finest (smallest
-    stride) grid.
+    The trajectory's time grid was checked uniform when it was built.  For
+    each integer stride this evaluates the residual on every stride-th
+    sample (a grid whose step, the mean of its own intervals, is about
+    stride * h), and regresses the maxima to estimate the convergence
+    order.  When every maximum is exactly 0 (a trajectory at rest) there is
+    no order to estimate and estimated_order is None.  per_sample and
+    max_residual refer to the finest (smallest stride) grid.
 
     Raises DegenerateInput, naming the strides, unless they are integers,
     at least two distinct and all positive, or when the maximum is 0 at
@@ -133,12 +132,10 @@ def residual_order_report(trajectory, profile, strides=(1, 2, 4)) -> ResidualRep
     strides = sorted(set(given))
     if len(strides) < 2 or strides[0] < 1:
         raise DegenerateInput(f"need at least two distinct positive strides, got {given}")
-    times = np.asarray(trajectory.times, dtype=float)
-    mats = np.asarray(trajectory.matrices, dtype=float)
-    n, s = len(times), strides[-1]
+    times, mats = trajectory.times, trajectory.matrices
+    n, s = len(trajectory), strides[-1]
     if (kept := (n - 1) // s + 1) < 3:
         raise TooFewSamples(f"stride {s} leaves {kept} of {n} samples; need at least 3")
-    uniform_step(times)
     reports = [_residual(times[::s], mats[::s], profile) for s in strides]
     step_sizes = [rep.step_sizes[0] for rep in reports]
     zero = [s for s, rep in zip(strides, reports) if rep.max_residual == 0.0]

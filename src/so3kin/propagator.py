@@ -51,7 +51,6 @@ __all__ = [
     "step_euler",
     "step_euler_renorm",
     "propagate",
-    "propagate_methods",
     "drift_report",
 ]
 
@@ -340,17 +339,10 @@ def propagate(r0: RotationMatrix, profile: RateProfile, dt: float, method: Metho
     Each step's rate is sampled where rate_sampling says.  If the span is
     not an integer multiple of dt the grid is truncated to the last full
     step (never extrapolated); the truncation is recorded on the trajectory.
+    The first failure is raised in step order, as step_* calls meet it:
+    step k checks its dt * w, then its increment, then sample k + 1.
     """
-    return propagate_methods(r0, profile, dt, (method,), rate_sampling)[0]
-
-
-def propagate_methods(r0: RotationMatrix, profile: RateProfile, dt: float, methods: list[Method],
-                      rate_sampling: RateSampling = RateSampling.START) -> list[Trajectory]:
-    """[propagate(...) for method in methods], trajectories and first error
-    alike, with the rates sampled once.  Each method then runs its own _chain
-    pass, which raises its first failure in step order, as step_* calls meet
-    it: step k checks its dt * w, then its increment, then sample k + 1."""
-    methods, rate_sampling = tuple(map(Method, methods)), RateSampling(rate_sampling)
+    method, rate_sampling = Method(method), RateSampling(rate_sampling)
     _check_step(dt)
     t0, tf = profile.span
     span = tf - t0
@@ -374,17 +366,11 @@ def propagate_methods(r0: RotationMatrix, profile: RateProfile, dt: float, metho
     n = len(phis) if finite.all() else int(np.argmin(finite))  # steps before a non-finite one
     bad_rate = None if n == len(phis) else (n, NonFinite(
         f"rotation increment dt * w has non-finite components: {phis[n]}"))
-    return [_chain(method, r0, phis[:n], bad_rate, times, dt, truncated) for method in methods]
-
-
-def _chain(method, r0, phis, bad_rate, times, dt, truncated) -> Trajectory:
-    """method's trajectory from r0 on the grid times over the rows dt * w before bad_rate,
-    the first non-finite step as (k, error) or None; raises its first failure in step order."""
     build, rotations, correct = _SCHEMES[method]
-    incs = build(phis)
+    incs = build(phis[:n])
     bad_inc = _first_failure(*_membership_terms(incs, sign_only=True), r0.tol) \
         if rotations else None
-    mats = np.empty((len(phis) + 1, 3, 3))
+    mats = np.empty((n + 1, 3, 3))
     mats[0] = r0.matrix
     # ndarray.dot is np.dot's C routine without array-function dispatch, under half np.matmul's
     # cost per 3x3 product.  A raw euler chain can overflow; its bad sample is named below.

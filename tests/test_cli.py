@@ -105,6 +105,17 @@ class TestPropagateCommand:
             "error: sample 2 (t = 1.0): matrix has non-finite entries\n"
         assert not out.exists()
 
+    def test_method_all_raises_the_first_failure_in_name_order(self, tmp_path, capsys):
+        # |dt w|^2 overflows from step 3 on, dt w itself at step 5: exp fails at
+        # increment 3, but euler, first in name order, at sample 5; nothing is written.
+        prof = tmp_path / "late.csv"
+        prof.write_text("t,wx,wy,wz\n0,1,0,0\n5,1e300,0,0\n10,1e308,0,0\n12,1e308,0,0\n")
+        assert run(["propagate", "--input", prof, "--output", tmp_path / "late_traj.csv",
+                    "--dt", "2", "--interp", "zoh", "--method", "all"]) == 1
+        assert capsys.readouterr().err == \
+            "error: sample 5 (t = 10.0): matrix has non-finite entries\n"
+        assert list(tmp_path.glob("late_traj*")) == []
+
     def test_a_non_finite_rate_is_one_error_line_naming_its_line(self, tmp_path, capsys):
         prof = tmp_path / "nanw.csv"
         prof.write_text("t,wx,wy,wz\n0,0,0,1\n1,0,0,1\n2,nan,0,1\n3,0,0,1\n")
@@ -503,6 +514,15 @@ class TestMatrixCommands:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {tmp_path / 'bad.csv'}: ||M^T M - I||_F = ")
         assert err.count("\n") == 1
+
+    def test_a_product_off_so3_names_both_files(self, tmp_path, capsys):
+        # ortho defect 9.0e-10 alone, under the default 1e-9; 1.8e-9 for the product
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        for path in (a, b):
+            path.write_text("1.00000000045,0,0\n0,1,0\n0,0,1\n")
+        assert run(["compose", a, b]) == 1
+        assert capsys.readouterr().err == \
+            f"error: {b} * {a}: ||M^T M - I||_F = 1.800e-09 exceeds ortho_tol = 1.000e-09\n"
 
     def test_exp_of_a_rate_too_large_to_square_is_one_error_line(self, capsys):
         assert run(["exp", "1e300,0,0"]) == 1

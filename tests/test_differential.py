@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from so3kin import differential, propagator
+from so3kin import io as kio
 from so3kin.algebra import Axis, elementary_rotation, exp_so3, hat, infinitesimal_rotation
 from so3kin.core import validate_rotation
 from so3kin.differential import (
@@ -162,15 +163,6 @@ class TestFiniteDifferenceResidual:
         with pytest.raises(TooFewSamples):
             finite_difference_residual(traj, profile)
 
-    def test_non_uniform_sampling_rejected(self):
-        class Fake:
-            times = np.array([0.0, 0.1, 0.3, 0.4])
-            matrices = np.array([np.eye(3)] * 4)
-
-        profile = RateProfile.constant((0.0, 0.0, 0.0), 0.0, 1.0)
-        with pytest.raises(NonUniformSampling):
-            finite_difference_residual(Fake(), profile)
-
     def test_trajectory_rejects_non_uniform_times_with_the_same_check(self):
         with pytest.raises(NonUniformSampling) as info:
             Trajectory(times=np.array([0.0, 0.1, 0.3, 0.4]), matrices=np.array([np.eye(3)] * 4),
@@ -278,9 +270,12 @@ class TestResidualOrderReport:
         assert report.max_residual == 0.0
         assert report.estimated_order is None
 
-    def test_checks_the_grid_once(self, monkeypatch):
+    def test_checks_the_grid_once(self, monkeypatch, tmp_path):
+        """Reading a trajectory file checks its grid; the report of the
+        Trajectory read does not check it again."""
         profile = RateProfile.constant((0.0, 0.0, 1.0), 0.0, 1.0)
-        traj = exact_trajectory((0.0, 0.0, 1.0), 0.0, 1.0, 1e-2)
+        path = tmp_path / "traj.csv"
+        kio.write_trajectory(path, exact_trajectory((0.0, 0.0, 1.0), 0.0, 1.0, 1e-2))
         real, seen = propagator.uniform_step, []
 
         def spy(times):
@@ -288,9 +283,11 @@ class TestResidualOrderReport:
             return real(times)
 
         monkeypatch.setattr(propagator, "uniform_step", spy)
-        monkeypatch.setattr(differential, "uniform_step", spy)
+        # also caught if differential imports the check again
+        monkeypatch.setattr(differential, "uniform_step", spy, raising=False)
+        traj = kio.read_trajectory(path)
         residual_order_report(traj, profile, strides=(1, 2, 4))
-        assert seen == [len(traj)]
+        assert seen == [len(traj)] == [101]
 
     @pytest.mark.parametrize("strides", [(1, 2, 4), (2, 3), (4, 2, 1), (1, 50), (3, 7)])
     def test_each_stride_is_the_residual_of_its_slice(self, strides):

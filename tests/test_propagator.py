@@ -302,24 +302,13 @@ class TestPropagate:
         with pytest.raises(ValueError, match="'exponential' is not a valid Method"):
             propagate(RotationMatrix.identity(), profile, 0.1, "exponential")
 
-    def test_methods_are_read_as_their_enum(self):
-        profile = RateProfile.constant((0.0, 0.0, 1.0), 0.0, 1.0)
-        trajs = propagator.propagate_methods(RotationMatrix.identity(), profile, 0.1,
-                                             ["euler", Method.EXPONENTIAL])
-        assert [t.method for t in trajs] == ["euler", "exp"]
-        with pytest.raises(ValueError, match="'renorm' is not a valid Method"):
-            propagator.propagate_methods(RotationMatrix.identity(), profile, 0.1,
-                                         [Method.EXPONENTIAL, "renorm"])
-
-    @pytest.mark.parametrize("run", [
-        propagate, lambda r0, p, dt, m, s: propagator.propagate_methods(r0, p, dt, [m], s)[0]])
-    def test_rate_sampling_is_read_as_its_enum(self, run):
+    def test_rate_sampling_is_read_as_its_enum(self):
         profile = RateProfile(np.array([0.0, 1.0]), np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 2.0]]))
         r0, exp = RotationMatrix.identity(), Method.EXPONENTIAL
-        assert np.array_equal(run(r0, profile, 0.1, exp, "midpoint").matrices,
-                              run(r0, profile, 0.1, exp, RateSampling.MIDPOINT).matrices)
+        assert np.array_equal(propagate(r0, profile, 0.1, exp, "midpoint").matrices,
+                              propagate(r0, profile, 0.1, exp, RateSampling.MIDPOINT).matrices)
         with pytest.raises(ValueError, match="'middle' is not a valid RateSampling"):
-            run(r0, profile, 0.1, exp, "middle")
+            propagate(r0, profile, 0.1, exp, "middle")
 
     def test_midpoint_sampling_option(self):
         ts = np.linspace(0.0, 1.0, 101)
@@ -539,19 +528,6 @@ class TestPropagateValidation:
         assert drift_report(traj).max_ortho_err > 1e-6
 
 
-def same_trajectories(got, expected):
-    """Trajectories equal field by field, arrays and drift bit for bit."""
-    assert len(got) == len(expected)
-    for a, b in zip(got, expected):
-        assert (a.method, a.dt, a.truncated_span, a.degrees_input) == \
-            (b.method, b.dt, b.truncated_span, b.degrees_input)
-        for x, y in ((a.times, b.times), (a.matrices, b.matrices),
-                     (a.drift.per_sample, b.drift.per_sample)):
-            assert np.array_equal(x.view(np.uint64), y.view(np.uint64))
-        assert (a.drift.max_ortho_err, a.drift.max_det_err) == \
-            (b.drift.max_ortho_err, b.drift.max_det_err)
-
-
 def raised(call):
     """(type, message) of the So3Error that call raises."""
     with pytest.raises(So3Error) as info:
@@ -559,83 +535,43 @@ def raised(call):
     return type(info.value), str(info.value)
 
 
-class TestPropagateMethods:
-    """propagate_methods is one pass that must give what a loop of propagate
-    calls gives: trajectories bit for bit, and the error raised first."""
+class TestPropagateFailures:
+    """What each method's pass names when a step fails, and what it owns when none does."""
 
-    rng = np.random.default_rng(21)
-    knots = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 0.1, 5)), [0.1]])
-    rates = 4.0 * rng.normal(size=(7, 3))
-    r0 = validate_rotation(random_rotation(np.random.default_rng(22)))
-    orders = [
-        list(Method),
-        [Method.EULER_RENORM, Method.EXPONENTIAL],
-        [Method.EULER, Method.EULER_RENORM, Method.EXPONENTIAL, Method.EULER],
-        [Method.EULER_RENORM],
-    ]
-
-    def loop(self, profile, methods, sampling, dt=1e-3):
-        return [propagate(self.r0, profile, dt, m, sampling) for m in methods]
-
-    @pytest.mark.parametrize("methods", orders)
-    @pytest.mark.parametrize("interp", list(Interpolation))
-    @pytest.mark.parametrize("sampling", list(RateSampling))
-    def test_equals_a_loop_of_propagate(self, methods, interp, sampling):
-        profile = RateProfile(self.knots, self.rates, interp)
-        got = propagator.propagate_methods(self.r0, profile, 1e-3, methods, sampling)
-        same_trajectories(got, self.loop(profile, methods, sampling))
-
-    def test_each_trajectory_owns_its_samples(self):
-        profile = RateProfile(self.knots, self.rates)
-        trajs = propagator.propagate_methods(self.r0, profile, 1e-3, list(Method))
-        assert [traj.matrices.flags.owndata for traj in trajs] == [True] * 3
-
-    def test_a_non_finite_rate_names_its_step(self):
+    @pytest.mark.parametrize("method", list(Method))
+    def test_a_non_finite_rate_names_its_step(self, method):
         profile = RateProfile(np.array([0.0, 30.0, 40.0]),
                               np.array([[1.0, 0.0, 0.0], [1e308, 0.0, 0.0], [1e308, 0.0, 0.0]]),
                               Interpolation.ZERO_ORDER_HOLD)
-        message = "step 15 (t = 30.0): rotation increment dt * w has non-finite components"
-        for methods in self.orders:
-            error, text = raised(lambda: propagator.propagate_methods(
-                RotationMatrix.identity(), profile, 2.0, methods))
-            assert error is NonFinite and text.startswith(message)
+        error, text = raised(lambda: propagate(RotationMatrix.identity(), profile, 2.0, method))
+        assert error is NonFinite and text.startswith(
+            "step 15 (t = 30.0): rotation increment dt * w has non-finite components")
 
-    def test_a_bad_increment_names_its_step(self):
-        # From t = 5 on, |dt * w|^2 overflows and the exp increment is not finite.
+    # From t = 5 on |dt * w|^2 overflows: the exp increment is not finite; euler's
+    # increments are never judged, so its chain overflows a step later; euler_renorm
+    # turns by atan|dt * w| and stays finite.
+    bad_increment = {
+        Method.EXPONENTIAL: "increment of step 10 (t = 5.0): matrix has non-finite entries",
+        Method.EULER: "sample 12 (t = 6.0): matrix has non-finite entries",
+        Method.EULER_RENORM: None,
+    }
+
+    @pytest.mark.parametrize("method", list(Method))
+    def test_a_bad_increment_names_its_step(self, method):
         profile = RateProfile(np.array([0.0, 5.0, 10.0]),
                               np.array([[1.0, 0.0, 0.0], [1e300, 0.0, 0.0], [1e300, 0.0, 0.0]]),
                               Interpolation.ZERO_ORDER_HOLD)
-        for methods in ([Method.EXPONENTIAL], [Method.EULER_RENORM, Method.EXPONENTIAL]):
-            assert raised(lambda: propagator.propagate_methods(
-                RotationMatrix.identity(), profile, 0.5, methods)) == \
-                (NonFinite, "increment of step 10 (t = 5.0): matrix has non-finite entries")
+        r0, expected = RotationMatrix.identity(), self.bad_increment[method]
+        if expected is None:
+            assert len(propagate(r0, profile, 0.5, method)) == 21
+        else:
+            assert raised(lambda: propagate(r0, profile, 0.5, method)) == (NonFinite, expected)
 
-    @pytest.mark.parametrize("methods", [
-        [Method.EULER, Method.EXPONENTIAL],
-        [Method.EXPONENTIAL, Method.EULER],
-        [Method.EULER_RENORM, Method.EULER, Method.EXPONENTIAL],
-    ])
-    def test_of_two_failing_methods_the_first_given_raises(self, methods):
-        # exp fails at its first increment (non-finite); euler's chain
-        # overflows at sample 2; euler_renorm succeeds.
-        profile = RateProfile(np.array([0.0, 1.0]), np.array([[1e300, 0.0, 0.0]] * 2))
-        r0 = RotationMatrix.identity()
-        first = raised(lambda: [propagate(r0, profile, 0.5, m) for m in methods])
-        assert raised(lambda: propagator.propagate_methods(r0, profile, 0.5, methods)) == first
-        failing = [m for m in methods if m is not Method.EULER_RENORM][0]
-        assert first == raised(lambda: propagate(r0, profile, 0.5, failing))
-
-    def test_raises_as_the_loop_at_a_tight_tolerance(self):
-        # Both checked methods fail, each at its own place.
-        profile = RateProfile(self.knots, self.rates)
-        r0 = RotationMatrix.identity(ToleranceConfig(ortho_tol=1e-16))
-        errors = {m: raised(lambda: propagate(r0, profile, 1e-3, m))
-                  for m in (Method.EXPONENTIAL, Method.EULER_RENORM)}
-        assert errors[Method.EXPONENTIAL] != errors[Method.EULER_RENORM]
-        for methods in ([Method.EXPONENTIAL, Method.EULER_RENORM],
-                        [Method.EULER, Method.EULER_RENORM, Method.EXPONENTIAL]):
-            got = raised(lambda: propagator.propagate_methods(r0, profile, 1e-3, methods))
-            assert got == errors[[m for m in methods if m is not Method.EULER][0]]
+    @pytest.mark.parametrize("method", list(Method))
+    def test_each_trajectory_owns_its_samples(self, method):
+        profile = RateProfile.constant((0.3, -0.2, 1.0), 0.0, 0.1)
+        r0 = validate_rotation(random_rotation(np.random.default_rng(22)))
+        assert propagate(r0, profile, 1e-3, method).matrices.flags.owndata
 
 
 class TestFailureOrder:
@@ -663,17 +599,6 @@ class TestFailureOrder:
         if method in PUBLIC_INCREMENTS:
             prefix, _ = first_public_failure(r0, self.profile, 2.0, 6, method)
             assert self.messages[method].startswith(prefix)
-
-    @pytest.mark.parametrize("methods", TestPropagateMethods.orders + [
-        [Method.EULER, Method.EXPONENTIAL],
-        [Method.EXPONENTIAL, Method.EULER_RENORM],
-    ])
-    def test_propagate_methods_raises_as_a_loop_of_propagate(self, methods):
-        r0 = RotationMatrix.identity()
-        first = (NonFinite, self.messages[methods[0]])
-        assert raised(lambda: [propagate(r0, self.profile, 2.0, m) for m in methods]) == first
-        assert raised(lambda: propagator.propagate_methods(r0, self.profile, 2.0, methods)) == \
-            first
 
     @pytest.mark.parametrize("method", [Method.EXPONENTIAL, Method.EULER_RENORM])
     def test_an_increment_off_so3_precedes_a_late_overflowing_rate(self, method):
@@ -904,12 +829,11 @@ class TestGridCheckedOnce:
         monkeypatch.setattr(propagator, "uniform_step", spy)
         return seen
 
-    def test_propagate_methods_makes_no_check(self, checks):
-        trajs = propagator.propagate_methods(RotationMatrix.identity(), self.profile, 0.01,
-                                             list(Method))
-        assert [len(traj) for traj in trajs] == [51] * 3 and checks == []
-        assert not any(traj.times.flags.writeable or traj.matrices.flags.writeable
-                       for traj in trajs)
+    @pytest.mark.parametrize("method", list(Method))
+    def test_propagate_makes_no_check(self, checks, method):
+        traj = propagate(RotationMatrix.identity(), self.profile, 0.01, method)
+        assert len(traj) == 51 and checks == []
+        assert not (traj.times.flags.writeable or traj.matrices.flags.writeable)
 
     def test_read_trajectory_checks_once(self, checks, tmp_path):
         traj = propagate(RotationMatrix.identity(), self.profile, 0.01, Method.EXPONENTIAL)
