@@ -14,7 +14,10 @@ from so3kin import io as kio
 from so3kin import propagator
 from so3kin.algebra import exp_so3
 from so3kin.cli import main
-from so3kin.propagator import RateProfile
+from so3kin.core import So3Error, ToleranceConfig, validate_rotation
+from so3kin.propagator import Interpolation, Method, RateProfile, propagate
+
+from oracles import random_rotation
 
 
 @pytest.fixture
@@ -105,17 +108,6 @@ class TestPropagateCommand:
             "error: sample 2 (t = 1.0): matrix has non-finite entries\n"
         assert not out.exists()
 
-    def test_method_all_raises_the_first_failure_in_name_order(self, tmp_path, capsys):
-        # |dt w|^2 overflows from step 3 on, dt w itself at step 5: exp fails at
-        # increment 3, but euler, first in name order, at sample 5; nothing is written.
-        prof = tmp_path / "late.csv"
-        prof.write_text("t,wx,wy,wz\n0,1,0,0\n5,1e300,0,0\n10,1e308,0,0\n12,1e308,0,0\n")
-        assert run(["propagate", "--input", prof, "--output", tmp_path / "late_traj.csv",
-                    "--dt", "2", "--interp", "zoh", "--method", "all"]) == 1
-        assert capsys.readouterr().err == \
-            "error: sample 5 (t = 10.0): matrix has non-finite entries\n"
-        assert list(tmp_path.glob("late_traj*")) == []
-
     def test_a_non_finite_rate_is_one_error_line_naming_its_line(self, tmp_path, capsys):
         prof = tmp_path / "nanw.csv"
         prof.write_text("t,wx,wy,wz\n0,0,0,1\n1,0,0,1\n2,nan,0,1\n3,0,0,1\n")
@@ -152,6 +144,84 @@ class TestPropagateCommand:
                     "--initial", init, "--output", out]) == 0
         traj = kio.read_trajectory(out)
         assert traj.matrices[0][0, 1] == -1.0
+
+
+class TestMethodAll:
+    """--method all runs one propagate call per method, in name order, before
+    it writes any file: each file and report is the one a run of that method
+    alone gives, and a failure is the first one met in name order."""
+
+    name_order = [Method.EULER, Method.EULER_RENORM, Method.EXPONENTIAL]
+    rng = np.random.default_rng(21)
+    knots = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 0.1, 5)), [0.1]])
+    rates = 4.0 * rng.normal(size=(7, 3))
+    r0 = random_rotation(np.random.default_rng(22))
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("degrees", [False, True])
+    @pytest.mark.parametrize("sampling", ["start", "midpoint"])
+    @pytest.mark.parametrize("interp", ["linear", "zoh"])
+    def test_each_file_and_report_is_that_of_a_run_of_its_method(
+            self, tmp_path, capsys, interp, sampling, degrees, fmt):
+        prof, init = tmp_path / "w.csv", tmp_path / "r0.csv"
+        kio.write_rate_profile(prof, RateProfile(self.knots, self.rates))
+        init.write_text(kio.format_matrix(self.r0) + "\n")
+        common = ["propagate", "--input", prof, "--initial", init, "--dt", "1e-3",
+                  "--interp", interp, "--rate-sampling", sampling, "--format", fmt]
+        common += ["--degrees"] if degrees else []
+        assert run(common + ["--method", "all", "--output", tmp_path / "all.csv"]) == 0
+        together, alone = capsys.readouterr().out, []
+        for method in self.name_order:
+            out = tmp_path / f"{method.value}.csv"
+            assert run(common + ["--method", method.value.replace("_", "-"),
+                                 "--output", out]) == 0
+            alone.append(capsys.readouterr().out)
+            assert (tmp_path / f"all.{method.value}.csv").read_bytes() == out.read_bytes()
+        if fmt == "json":
+            assert json.loads(together) == [json.loads(report) for report in alone]
+        else:
+            assert together == "\n\n".join(report.rstrip("\n") for report in alone) + "\n"
+
+    smooth = np.column_stack([np.linspace(0.0, 1.0, 11)] + [
+        f(np.linspace(0.0, 1.0, 11)) for f in (lambda t: np.sin(3 * t),
+                                               lambda t: np.cos(2 * t), lambda t: 0.5 + t)])
+
+    # rows of t, wx, wy, wz; dt; --interp; --tol-ortho; the method that fails
+    # first in name order; the start of its message
+    failures = {
+        # |dt w|^2 overflows from step 3 on, dt w itself at step 5: exp fails
+        # at increment 3, but euler, first in name order, at sample 5
+        "late_overflow": ([[0, 1, 0, 0], [5, 1e300, 0, 0], [10, 1e308, 0, 0], [12, 1e308, 0, 0]],
+                          2.0, "zoh", 1e-9, Method.EULER, "sample 5 (t = 10.0): "),
+        "non_finite_rate": ([[0, 1, 0, 0], [30, 1e308, 0, 0], [40, 1e308, 0, 0]],
+                            2.0, "zoh", 1e-9, Method.EULER, "step 15 (t = 30.0): "),
+        "bad_increment": ([[0, 1, 0, 0], [5, 1e300, 0, 0], [10, 1e300, 0, 0]],
+                          0.5, "zoh", 1e-9, Method.EULER, "sample 12 (t = 6.0): "),
+        "first_increment": ([[0, 1e300, 0, 0], [1, 1e300, 0, 0]],
+                            0.5, "linear", 1e-9, Method.EULER, "sample 2 (t = 1.0): "),
+        # euler is never held to the tolerance, so euler_renorm fails first
+        "tight_increment": (smooth, 1e-3, "linear", 1e-16, Method.EULER_RENORM,
+                            "increment of step "),
+        "tight_sample": (smooth, 1e-3, "linear", 4.5e-16, Method.EULER_RENORM, "sample "),
+    }
+
+    @pytest.mark.parametrize("case", failures)
+    def test_raises_the_first_failure_in_name_order(self, tmp_path, capsys, case):
+        rows, dt, interp, ortho_tol, failing, prefix = self.failures[case]
+        rows, prof = np.array(rows, dtype=float), tmp_path / "w.csv"
+        kio.write_rate_profile(prof, RateProfile(rows[:, 0], rows[:, 1:]))
+        assert run(["propagate", "--input", prof, "--output", tmp_path / "traj.csv",
+                    "--dt", dt, "--interp", interp, "--tol-ortho", ortho_tol,
+                    "--method", "all"]) == 1
+        profile = kio.read_rate_profile(prof, Interpolation(interp))
+        r0 = validate_rotation(np.eye(3), ToleranceConfig(ortho_tol=ortho_tol))
+        for method in self.name_order[:self.name_order.index(failing)]:
+            propagate(r0, profile, dt, method)
+        with pytest.raises(So3Error) as info:
+            propagate(r0, profile, dt, failing)
+        assert str(info.value).startswith(prefix)
+        assert capsys.readouterr().err == f"error: {info.value}\n"
+        assert list(tmp_path.glob("traj*")) == []
 
 
 class TestVerifyCommand:

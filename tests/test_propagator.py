@@ -302,6 +302,14 @@ class TestPropagate:
         with pytest.raises(ValueError, match="'exponential' is not a valid Method"):
             propagate(RotationMatrix.identity(), profile, 0.1, "exponential")
 
+    @pytest.mark.parametrize("method", list(Method))
+    def test_each_method_is_read_from_its_value(self, method):
+        profile = RateProfile.constant((0.3, -0.2, 1.0), 0.0, 0.1)
+        r0 = validate_rotation(random_rotation(np.random.default_rng(22)))
+        by_value = propagate(r0, profile, 1e-2, method.value)
+        assert by_value.method == method.value
+        assert np.array_equal(by_value.matrices, propagate(r0, profile, 1e-2, method).matrices)
+
     def test_rate_sampling_is_read_as_its_enum(self):
         profile = RateProfile(np.array([0.0, 1.0]), np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 2.0]]))
         r0, exp = RotationMatrix.identity(), Method.EXPONENTIAL
