@@ -145,23 +145,17 @@ def first_non_rotation(mats: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL):
     return _first_failure(*_membership_terms(mats), tol)
 
 
-def _membership_terms(mats: np.ndarray, sign_only: bool = False):
+def _membership_terms(mats: np.ndarray):
     """(finite, defects, dets) of an (N, 3, 3) stack, one array each: the
     terms of the SO(3) membership test, computed quietly where an entry is
-    not finite.  With sign_only the dets are the triple products
-    m0 . (m1 x m2) of the rows: a few ufuncs where LAPACK's det factors
-    each matrix, and within ~4e-16 of it on near-rotations, so their sign
-    tells a reflection as well."""
-    finite = np.isfinite(mats).all(axis=(1, 2))
+    not finite."""
     with np.errstate(invalid="ignore", over="ignore"):
-        defects = ortho_defects(mats)
-        dets = (np.einsum("...i,...i", mats[..., 0, :], np.cross(mats[..., 1, :], mats[..., 2, :]))
-                if sign_only else np.linalg.det(mats))
-    return finite, defects, dets
+        return np.isfinite(mats).all(axis=(1, 2)), ortho_defects(mats), np.linalg.det(mats)
 
 
 def _first_failure(finite, defects, dets, tol: ToleranceConfig):
-    """first_non_rotation given the membership terms of the stack."""
+    """first_non_rotation given the membership terms of the stack; a term
+    that holds for every matrix may be given as a scalar, such as dets = 1.0."""
     bad = ~finite | (defects > tol.ortho_tol) | (dets <= 0.0)
     if not bad.any():
         return None

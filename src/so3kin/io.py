@@ -14,13 +14,13 @@ round-trip bit-exactly: each is written as ``'%.17g' % x`` writes it
 (``-0`` as ``0``).  Tables are formatted in bulk in numpy; any cell whose
 digits the bulk path cannot certify is written by CPython's own ``%``.  A
 file's body is written block by block as it is formatted, so its text is
-never held whole.  Lines starting with ``#`` are comments.  On
-read, a number is any token ``float()`` accepts, with ``float()``'s value;
-each body is converted in one ``np.loadtxt`` call.  A profile's values and
-a trajectory's rotation entries must be finite.  A body that call refuses,
-or that holds a non-finite value where one must be finite, is walked line
-by line, which rejects the first bad line in file order and names
-``path:line``.
+never held whole.  Lines starting with ``#`` are comments.  Files are
+read as UTF-8.  On read, a number is any token ``float()`` accepts, with
+``float()``'s value; each body is converted in one ``np.loadtxt`` call.
+A profile's values and a trajectory's rotation entries must be finite.
+A body that call refuses, or that holds a non-finite value where one
+must be finite, is walked line by line, which rejects the first bad line
+in file order and names ``path:line``.
 """
 from __future__ import annotations
 
@@ -84,7 +84,11 @@ def _read_rows(path, n_cols: int, header: Optional[str] = None, finite=slice(0),
     linenos: list[int] = []
     lines: list[str] = []
     expect_header = header is not None
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:  # the line of the bad byte, as splitlines counts lines
+        lineno = len((exc.object[:exc.start].decode("utf-8") + "x").splitlines())
+        raise ParseError(f"{path}:{lineno}: {exc}") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -232,5 +236,8 @@ def format_report_text(report: dict) -> str:
 
 
 def report_json(reports: list[dict]) -> str:
-    payload = reports[0] if len(reports) == 1 else reports
-    return json.dumps(payload, indent=2)
+    """The reports as JSON; a non-finite number, which JSON cannot hold, is
+    written as the string the text report prints ("inf", "-inf" or "nan")."""
+    reports = [{k: fmt(v) if isinstance(v, float) and not np.isfinite(v) else v
+                for k, v in r.items()} for r in reports]
+    return json.dumps(reports[0] if len(reports) == 1 else reports, indent=2, allow_nan=False)

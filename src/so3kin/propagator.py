@@ -368,8 +368,10 @@ def propagate(r0: RotationMatrix, profile: RateProfile, dt: float, method: Metho
         f"rotation increment dt * w has non-finite components: {phis[n]}"))
     build, rotations, correct = _SCHEMES[method]
     incs = build(phis[:n])
-    bad_inc = _first_failure(*_membership_terms(incs, sign_only=True), r0.tol) \
-        if rotations else None
+    # Rodrigues' I + a S + b S^2 has det (1 - b|phi|^2)^2 + (a|phi|)^2 = 1: no sign to test
+    with np.errstate(invalid="ignore", over="ignore"):
+        bad_inc = _first_failure(np.isfinite(incs).all(axis=(1, 2)), ortho_defects(incs), 1.0,
+                                 r0.tol) if rotations else None
     mats = np.empty((n + 1, 3, 3))
     mats[0] = r0.matrix
     # ndarray.dot is np.dot's C routine without array-function dispatch, under half np.matmul's
@@ -382,9 +384,8 @@ def propagate(r0: RotationMatrix, profile: RateProfile, dt: float, method: Metho
         mats[1:] = correct(mats[1:])
     mats.flags.writeable = False
     finite, defects, dets = _membership_terms(mats)
-    judged = (finite, defects, dets) if rotations else \
-        (finite, np.zeros_like(defects), np.ones_like(dets))
-    _raise_first(bad_rate, bad_inc, _first_failure(*(x[1:] for x in judged), r0.tol), times)
+    judged = (defects[1:], dets[1:]) if rotations else (0.0, 1.0)  # raw euler: overflow only
+    _raise_first(bad_rate, bad_inc, _first_failure(finite[1:], *judged, r0.tol), times)
     return _trajectory(times=times, matrices=mats, method=method.value, dt=dt,
                        truncated_span=truncated, drift=_drift(times, defects, dets))
 

@@ -5,8 +5,10 @@ naive triple loops, the exponential is a truncated power series, and the
 nearest-rotation oracle goes through the SVD.  The CSV body oracle is the
 reader that converted each token with float() in a per-line loop (and
 checked each row's finite columns there), and the CSV table oracle is the
-writer that formatted each row with Python's %.
+writer that formatted each row with Python's %.  The JSON oracle is a parser
+that holds to RFC 8259, which has no Infinity or NaN.
 """
+import json
 import math
 from pathlib import Path
 from typing import Optional
@@ -14,6 +16,13 @@ from typing import Optional
 import numpy as np
 
 from so3kin.io import NUMBER_FORMAT, ParseError
+
+
+def strict_json_loads(text: str):
+    """json.loads, rejecting the Infinity, -Infinity and NaN that RFC 8259 lacks."""
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=reject)
 
 
 def matmul3(a, b):

@@ -17,7 +17,7 @@ from so3kin.cli import main
 from so3kin.core import So3Error, ToleranceConfig, validate_rotation
 from so3kin.propagator import Interpolation, Method, RateProfile, propagate
 
-from oracles import random_rotation
+from oracles import random_rotation, strict_json_loads
 
 
 @pytest.fixture
@@ -465,6 +465,37 @@ class TestVerifyCommand:
         capsys.readouterr()
         assert run(["verify", "--trajectory", out, "--profile", const_profile]) == 2
         assert capsys.readouterr().err.startswith(f"error: {out}:10: could not convert")
+
+
+# A byte that is not UTF-8 is a parse error: exit 2, naming the file and its line.
+@pytest.mark.parametrize("command, name, text, lineno", [
+    pytest.param(["propagate", "--input", "{}", "--output", "o.csv", "--dt", "0.1"], "bad.csv",
+                 b"t,wx,wy,wz\n0,0,0,1\n1,\xff0,0,1\n2,0,0,1\n", 3, id="propagate"),
+    pytest.param(["log", "{}"], "r.csv", b"1,0,0\n0,1,0\n\xff0,0,1\n", 3, id="log"),
+    pytest.param(["verify", "--trajectory", "{}", "--profile", "w.csv"], "traj.npy", None, 1,
+                 id="verify-npy"),
+])
+def test_an_input_that_is_not_utf8_exits_2_naming_its_line(tmp_path, capsys, monkeypatch,
+                                                            command, name, text, lineno):
+    monkeypatch.chdir(tmp_path)
+    Path("w.csv").write_text("t,wx,wy,wz\n0,0,0,1\n1,0,0,1\n")
+    if text is None:
+        np.save(name, np.eye(3))  # a binary file passed by mistake: it starts with 0x93
+    else:
+        Path(name).write_bytes(text)
+    assert run([a.format(name) for a in command]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {name}:{lineno}: 'utf-8' codec ")
+    assert not Path("o.csv").exists()
+
+
+def test_a_report_of_overflowed_drift_is_strict_json(tmp_path, capsys):
+    # w = 1e100 rad/s: the euler samples stay finite, their Gram products and dets do not
+    prof = tmp_path / "big.csv"
+    prof.write_text("t,wx,wy,wz\n0,1e100,0,0\n1.5,1e100,0,0\n")
+    assert run(["propagate", "--input", prof, "--output", tmp_path / "b.csv", "--dt", "0.5",
+                "--method", "euler", "--format", "json"]) == 0
+    report = strict_json_loads(capsys.readouterr().out)
+    assert (report["max_ortho_err"], report["max_det_err"], report["steps"]) == ("inf", "inf", 3)
 
 
 SUBCOMMANDS = [

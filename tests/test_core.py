@@ -125,41 +125,27 @@ class TestValidateRotation:
         assert np.linalg.norm(r.inverse().matrix @ r.matrix - np.eye(3)) < 1e-14
 
 
-class TestSignOnlyMembership:
-    """The increments' check takes det's sign from the triple product of the
-    rows; it must find what first_non_rotation finds."""
+class TestFirstNonRotation:
+    """first_non_rotation finds the lowest failing matrix of a stack, with the
+    error RotationMatrix raises for that matrix alone."""
 
     stack = np.array([random_rotation(np.random.default_rng(s)) for s in range(12)])
     reflection = np.diag([1.0, 1.0, -1.0]) @ random_rotation(np.random.default_rng(99))
 
-    @staticmethod
-    def sign_only(mats, tol=ToleranceConfig()):
-        return core._first_failure(*core._membership_terms(mats, sign_only=True), tol)
-
     @pytest.mark.parametrize("reflected, broken", [(3, 7), (7, 3), (5, None), (None, 5)])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_finds_what_first_non_rotation_finds(self, reflected, broken, bad):
+    def test_finds_the_lowest_failure_as_rotation_matrix_raises_it(self, reflected, broken,
+                                                                   bad):
         mats = self.stack.copy()
         if reflected is not None:
             mats[reflected] = self.reflection
         if broken is not None:
             mats[broken, 1, 2] = bad
-        index, error = self.sign_only(mats)
-        expected = core.first_non_rotation(mats)
-        assert (index, type(error)) == (expected[0], type(expected[1]))
+        index, error = core.first_non_rotation(mats)
         assert index == min(k for k in (reflected, broken) if k is not None)
-        assert str(error) == str(expected[1])
-
-    def test_of_rotations_finds_none_and_dets_within_roundoff(self):
-        finite, defects, dets = core._membership_terms(self.stack, sign_only=True)
-        assert self.sign_only(self.stack) is None and finite.all()
-        assert np.max(np.abs(dets - np.linalg.det(self.stack))) <= 1e-15
-
-    def test_an_orthogonality_defect_comes_before_the_sign(self):
-        mats = self.stack.copy()
-        mats[4] = 1.1 * self.reflection
-        index, error = self.sign_only(mats)
-        assert (index, type(error)) == (4, NotOrthogonal)
+        with pytest.raises(So3Error) as alone:
+            RotationMatrix(mats[index])
+        assert (type(error), str(error)) == (type(alone.value), str(alone.value))
 
 
 @pytest.mark.parametrize("layout, mats", gram_operands().items())

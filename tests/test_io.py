@@ -1,5 +1,7 @@
 import itertools
+import os
 import re
+import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
@@ -21,7 +23,7 @@ from so3kin.propagator import (
     propagate,
 )
 
-from oracles import line_loop_rows, percent_format_matrix
+from oracles import line_loop_rows, percent_format_matrix, strict_json_loads
 
 
 @pytest.fixture
@@ -211,6 +213,32 @@ def test_matrix_file_bad_token_names_path_and_line(tmp_path):
     path.write_text("1,0,0\n# k=v\n0,x,0\n0,0,1\n")
     with pytest.raises(kio.ParseError, match="^" + re.escape(f"{path}:3: ")):
         kio.read_matrix(path)
+
+
+@pytest.mark.parametrize("read, text, lineno", [
+    pytest.param(kio.read_rate_profile, b"t,wx,wy,wz\n0,0,0,1\n1,\xff0,0,1\n", 3, id="profile"),
+    pytest.param(kio.read_trajectory, b"\x93NUMPY\x01\x00v\x00{'descr': '<f8'}", 1,
+                 id="trajectory"),
+    pytest.param(kio.read_matrix, b"# caf\xc3\xa9\r\n1,0,0\r0,1,0\x1c0,0,\xe91\n", 4,
+                 id="matrix"),
+])
+def test_a_byte_that_is_not_utf8_names_its_line(tmp_path, read, text, lineno):
+    # lines as str.splitlines counts them, "\r\n", "\r" and "\x1c" included
+    path = tmp_path / "in.csv"
+    path.write_bytes(text)
+    with pytest.raises(kio.ParseError, match="^" + re.escape(f"{path}:{lineno}: 'utf-8' codec")):
+        read(path)
+
+
+def test_a_utf8_file_is_read_as_utf8_under_an_ascii_locale(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_bytes("# caf\u00e9\n1,0,0\n0,1,0\n0,0,1\n".encode("utf-8"))
+    env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0",
+           "PYTHONPATH": os.pathsep.join(sys.path)}
+    code = "import sys; from so3kin.io import read_matrix; print(read_matrix(sys.argv[1]).sum())"
+    done = subprocess.run([sys.executable, "-c", code, str(path)], env=env,
+                          capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "3.0\n", "")
 
 
 def test_fmt_round_trips_doubles():
@@ -403,6 +431,18 @@ def test_report_text_and_json_carry_same_values():
     parsed = json.loads(kio.report_json([report]))
     assert parsed["max_ortho_err"] == 1e-15
     assert parsed["max_residual"] is None
+    assert kio.report_json([report]) == json.dumps(report, indent=2)
+
+
+@pytest.mark.parametrize("value, token", [(np.inf, "inf"), (-np.inf, "-inf"), (np.nan, "nan")])
+def test_a_non_finite_report_value_is_the_string_the_text_report_prints(value, token):
+    report = kio.report_dict(method="euler", dt=0.5, steps=3, max_ortho_err=value,
+                             max_det_err=1.0, truncated_span=False, estimated_order=value)
+    text = dict(line.split("=", 1) for line in kio.format_report_text(report).splitlines())
+    parsed = strict_json_loads(kio.report_json([report, report]))
+    assert parsed[0]["max_ortho_err"] == parsed[1]["estimated_order"] == token == \
+        text["max_ortho_err"]
+    assert parsed[0]["max_det_err"] == 1.0
 
 
 # The body is parsed in one np.loadtxt call; these pin the places where its

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from so3kin import core, propagator
 from so3kin import io as kio
-from so3kin.algebra import Axis, elementary_rotation, exp_so3
+from so3kin.algebra import Axis, elementary_rotation, exp_matrices, exp_so3
 from so3kin.core import (
     NonFinite,
     NotOrthogonal,
@@ -682,6 +682,41 @@ class TestHugeRates:
         traj = propagate(RotationMatrix.identity(), self.profile(1e300, 0.5), 0.5, Method.EULER)
         assert traj.matrices[1, 2, 1] == 5e299
         assert drift_report(traj).max_ortho_err > 1e300
+
+
+class TestIncrementDeterminants:
+    """propagate judges its increments on finiteness and orthogonality only:
+    both builders are Rodrigues' I + a S + b S^2, whose det
+    (1 - b|phi|^2)^2 + (a|phi|)^2 is 1 to rounding for every finite phi.
+    This fails if a builder could ever hand the chain a reflection."""
+
+    rng = np.random.default_rng(24)
+    # |phi| from 1e-300 to 1e150, 200 random vectors at each power of 1e5
+    phis = (10.0 ** np.arange(-300, 151, 5)[:, None, None]
+            * rng.normal(size=(91, 200, 3))).reshape(-1, 3)
+    # |phi|^2 overflows: _polar_increments turns by pi/2 about phi
+    overflowing = (10.0 ** np.arange(160, 308, 4)[:, None, None]
+                   * rng.uniform(-1.0, 1.0, size=(37, 200, 3))).reshape(-1, 3)
+
+    @staticmethod
+    def det_errors(incs):
+        finite = np.isfinite(incs).all(axis=(1, 2))
+        return np.abs(np.linalg.det(incs[finite]) - 1.0), finite
+
+    @pytest.mark.parametrize("build", [exp_matrices, _polar_increments])
+    def test_every_finite_increment_has_det_one(self, build):
+        errors, finite = self.det_errors(build(self.phis))
+        assert finite.all() and errors.max() <= 1e-14
+
+    def test_an_overflowing_polar_increment_has_det_one(self):
+        with np.errstate(over="ignore"):
+            assert np.isinf(core.row_norms(self.overflowing)).all()
+        errors, finite = self.det_errors(_polar_increments(self.overflowing))
+        assert finite.all() and errors.max() <= 1e-14
+
+    def test_an_overflowing_exp_increment_is_not_finite(self):
+        # so the finiteness half of the increments' check rejects it
+        assert not self.det_errors(exp_matrices(self.overflowing))[1].any()
 
 
 class TestDriftReport:
