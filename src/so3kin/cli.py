@@ -24,7 +24,6 @@ from .propagator import (
     Method,
     RateProfile,
     _trajectory,
-    drift_report,
     propagate,
 )
 
@@ -151,9 +150,9 @@ def _rotation_file(path, tol: ToleranceConfig):
         raise type(exc)(f"{path}: {exc}") from None
 
 
-def _method_output_path(base: str, method: Method) -> Path:
+def _method_output_path(base: str, method: str) -> Path:
     path = Path(base)
-    return path.with_name(f"{path.stem}.{method.value}{path.suffix}")
+    return path.with_name(f"{path.stem}.{method}{path.suffix}")
 
 
 def cmd_propagate(args) -> int:
@@ -175,17 +174,10 @@ def cmd_propagate(args) -> int:
     if args.degrees:
         trajs = [_trajectory(**{**vars(traj), "degrees_input": True}) for traj in trajs]
 
-    reports = []
-    for method, traj in zip(methods, trajs):
-        drift = drift_report(traj)
-        out = _method_output_path(args.output, method) if len(methods) > 1 \
-            else Path(args.output)
-        kio.write_trajectory(out, traj)
-        reports.append(kio.report_dict(
-            method=method.value, dt=args.dt, steps=len(traj) - 1,
-            max_ortho_err=drift.max_ortho_err, max_det_err=drift.max_det_err,
-            truncated_span=traj.truncated_span))
-    _emit_reports(reports, args)
+    for traj in trajs:
+        kio.write_trajectory(_method_output_path(args.output, traj.method) if len(trajs) > 1
+                             else args.output, traj)
+    _emit_reports([kio.report_dict(traj) for traj in trajs], args)
     return 0
 
 
@@ -194,15 +186,8 @@ def cmd_verify(args) -> int:
     traj = kio.read_trajectory(args.trajectory)
     profile = kio.read_rate_profile(args.profile, degrees=traj.degrees_input)
     report = residual_order_report(traj, profile, strides)
-    drift = drift_report(traj)
-    h = report.step_sizes[0]
-    bound = residual_bound(profile, h)
-    _emit_reports([kio.report_dict(
-        method=traj.method, dt=h, steps=len(traj) - 1,
-        max_ortho_err=drift.max_ortho_err, max_det_err=drift.max_det_err,
-        truncated_span=traj.truncated_span,
-        max_residual=report.max_residual,
-        estimated_order=report.estimated_order)], args)
+    bound = residual_bound(profile, report.step_sizes[0])
+    _emit_reports([kio.report_dict(traj, report)], args)
 
     order = report.estimated_order  # None: zero residual at every stride, nothing to fit
     if not ((order is None or order >= MIN_ACCEPTED_ORDER) and report.max_residual <= bound):

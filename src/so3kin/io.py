@@ -15,12 +15,13 @@ round-trip bit-exactly: each is written as ``'%.17g' % x`` writes it
 digits the bulk path cannot certify is written by CPython's own ``%``.  A
 file's body is written block by block as it is formatted, so its text is
 never held whole.  Lines starting with ``#`` are comments.  Files are
-read as UTF-8.  On read, a number is any token ``float()`` accepts, with
-``float()``'s value; each body is converted in one ``np.loadtxt`` call.
-A profile's values and a trajectory's rotation entries must be finite.
-A body that call refuses, or that holds a non-finite value where one
-must be finite, is walked line by line, which rejects the first bad line
-in file order and names ``path:line``.
+read as UTF-8, after a byte-order mark if one leads.  On read, a number
+is any token ``float()`` accepts, with ``float()``'s value; each body is
+converted in one ``np.loadtxt`` call.  A profile's values and a
+trajectory's rotation entries must be finite.  A body that call refuses,
+or that holds a non-finite value where one must be finite, is walked
+line by line, which rejects the first bad line in file order and names
+``path:line``.
 """
 from __future__ import annotations
 
@@ -31,6 +32,7 @@ from typing import Optional
 import numpy as np
 
 from . import numtext
+from .differential import ResidualReport
 from .propagator import Interpolation, RateProfile, Trajectory, drift_report
 
 __all__ = [
@@ -85,7 +87,7 @@ def _read_rows(path, n_cols: int, header: Optional[str] = None, finite=slice(0),
     lines: list[str] = []
     expect_header = header is not None
     try:
-        text = Path(path).read_bytes().decode("utf-8")
+        text = Path(path).read_bytes().decode("utf-8-sig")  # a leading BOM is no text
     except UnicodeDecodeError as exc:  # the line of the bad byte, as splitlines counts lines
         lineno = len((exc.object[:exc.start].decode("utf-8") + "x").splitlines())
         raise ParseError(f"{path}:{lineno}: {exc}") from None
@@ -161,14 +163,10 @@ def write_rate_profile(path, profile: RateProfile) -> None:
 
 
 def write_trajectory(path, traj: Trajectory) -> None:
-    header = "\n".join([
-        "# so3kin trajectory",
-        f"# method={traj.method}",
-        f"# dt={fmt(traj.dt)}",
-        f"# truncated_span={str(traj.truncated_span).lower()}",
-        f"# degrees_input={str(traj.degrees_input).lower()}",
-        TRAJECTORY_HEADER,
-    ])
+    metadata = {"method": traj.method, "dt": traj.dt, "truncated_span": traj.truncated_span,
+                "degrees_input": traj.degrees_input}
+    header = "\n".join(["# so3kin trajectory", *(f"# {k}={_text(v)}" for k, v in metadata.items()),
+                        TRAJECTORY_HEADER])
     _write_table(path, header, np.column_stack([traj.times, traj.matrices.reshape(len(traj), 9),
                                                 np.asarray(drift_report(traj).per_sample)[:, 1:]]))
 
@@ -204,35 +202,35 @@ def read_matrix(path) -> np.ndarray:
     return rows
 
 
-def report_dict(method: str, dt: float, steps: int, max_ortho_err: float,
-                max_det_err: float, truncated_span: bool,
-                max_residual: Optional[float] = None,
-                estimated_order: Optional[float] = None) -> dict:
-    return {
-        "method": method,
-        "dt": dt,
-        "steps": steps,
-        "max_ortho_err": max_ortho_err,
-        "max_det_err": max_det_err,
-        "max_residual": max_residual,
-        "estimated_order": estimated_order,
-        "truncated_span": truncated_span,
-    }
+def report_dict(traj: Trajectory, residual: Optional[ResidualReport] = None) -> dict:
+    """The report of a trajectory: its method, step, step count, SO(3) drift and
+    truncation.  With the residual report of its check, dt is the finest step
+    measured and the check's max residual and order are filled in."""
+    drift = drift_report(traj)
+    report = {"method": traj.method, "dt": traj.dt, "steps": len(traj) - 1,
+              "max_ortho_err": drift.max_ortho_err, "max_det_err": drift.max_det_err,
+              "max_residual": None, "estimated_order": None,
+              "truncated_span": traj.truncated_span}
+    if residual is not None:
+        report.update(dt=residual.step_sizes[0], max_residual=residual.max_residual,
+                      estimated_order=residual.estimated_order)
+    return report
+
+
+def _text(value) -> str:
+    """A value as key=value text writes it: None as n/a, a bool as true or
+    false, a float as fmt writes it."""
+    if value is None:
+        return "n/a"
+    if isinstance(value, (bool, np.bool_)):
+        return str(bool(value)).lower()
+    if isinstance(value, (float, np.floating)):
+        return fmt(value)
+    return str(value)
 
 
 def format_report_text(report: dict) -> str:
-    lines = []
-    for key, value in report.items():
-        if value is None:
-            rendered = "n/a"
-        elif isinstance(value, bool):
-            rendered = str(value).lower()
-        elif isinstance(value, float):
-            rendered = fmt(value)
-        else:
-            rendered = str(value)
-        lines.append(f"{key}={rendered}")
-    return "\n".join(lines)
+    return "\n".join(f"{key}={_text(value)}" for key, value in report.items())
 
 
 def report_json(reports: list[dict]) -> str:

@@ -206,8 +206,8 @@ class DriftReport:
 def uniform_step(times: np.ndarray) -> float:
     """The step of a uniform time grid (at least 2 samples); raises
     NonUniformSampling, naming the first bad sample, when a time is not
-    finite or an interval deviates from the mean by more than
-    1e-12 * max(1, max|t|)."""
+    finite, a step is not positive, or a step deviates from the mean h by
+    more than min(1e-12 * max(1, max|t|), |h| / 4)."""
     finite = np.isfinite(times)
     if not finite.all():
         k = int(np.argmin(finite))
@@ -215,12 +215,14 @@ def uniform_step(times: np.ndarray) -> float:
                                  "trajectory sample times must lie on a uniform grid")
     diffs = np.diff(times)
     h = float(np.mean(diffs))
-    scale = max(1.0, float(np.max(np.abs(times))))
-    off = np.abs(diffs - h) > 1e-12 * scale
-    if off.any():
-        k = int(np.argmax(off)) + 1
-        raise NonUniformSampling(f"sample {k} (t = {float(times[k])}): step {float(diffs[k - 1])} "
-                                 f"is off the mean step {h} of a uniform grid")
+    tol = min(1e-12 * max(1.0, float(np.max(np.abs(times)))), abs(h) / 4)  # under a step
+    bad = (diffs <= 0.0) | (np.abs(diffs - h) > tol)
+    if bad.any():
+        k = int(np.argmax(bad)) + 1
+        step = float(diffs[k - 1])
+        raise NonUniformSampling(f"sample {k} (t = {float(times[k])}): step {step} " + (
+            "is not positive; trajectory sample times must increase" if step <= 0.0
+            else f"is off the mean step {h} of a uniform grid"))
     return h
 
 
@@ -241,7 +243,7 @@ def sample_rates(profile: RateProfile, ts: np.ndarray) -> np.ndarray:
     """
     times, omegas = profile.times, profile.omegas
     t0, tf = profile.span
-    slack = 1e-9 * max(1.0, abs(t0), abs(tf))
+    slack = 1e-9 * max(1.0, tf - t0)  # relative to the span, not to where its clock starts
     outside = (ts < t0 - slack) | (ts > tf + slack)
     if outside.any():
         t = float(ts[np.argmax(outside)])

@@ -4,6 +4,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from so3kin import propagator
 from so3kin.algebra import exp_so3
 from so3kin.cli import main
 from so3kin.core import So3Error, ToleranceConfig, validate_rotation
+from so3kin.differential import residual_order_report
 from so3kin.propagator import Interpolation, Method, RateProfile, propagate
 
 from oracles import random_rotation, strict_json_loads
@@ -384,6 +386,23 @@ class TestVerifyCommand:
         assert run(["verify", "--trajectory", out, "--profile", const_profile]) == 2
         assert "uniform" in capsys.readouterr().err
 
+    # 21 samples at rest against w = 0 on [-1, 1], on an even grid of times that do not
+    # step forward: a parse error naming sample 1, with no numpy warning
+    @pytest.mark.parametrize("step", [0.0, -0.01])
+    def test_times_that_do_not_step_forward_exit_2_naming_the_sample(self, tmp_path, capsys,
+                                                                     step):
+        prof, out = tmp_path / "still.csv", tmp_path / "traj.csv"
+        prof.write_text("t,wx,wy,wz\n-1,0,0,0\n1,0,0,0\n")
+        rows = np.column_stack([step * np.arange(21), np.tile(np.eye(3).ravel(), (21, 1)),
+                                np.zeros((21, 2))])
+        out.write_text(kio.TRAJECTORY_HEADER + "\n" + kio.format_matrix(rows) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["verify", "--trajectory", out, "--profile", prof]) == 2
+        assert capsys.readouterr() == ("", (
+            f"error: {out}: sample 1 (t = {step}): step {step} is not positive; "
+            "trajectory sample times must increase\n"))
+
     @pytest.mark.parametrize("token", ["nan", "inf"])
     def test_non_finite_time_exits_2_naming_the_sample(self, tmp_path, const_profile, capsys,
                                                        token):
@@ -472,6 +491,9 @@ class TestVerifyCommand:
     pytest.param(["propagate", "--input", "{}", "--output", "o.csv", "--dt", "0.1"], "bad.csv",
                  b"t,wx,wy,wz\n0,0,0,1\n1,\xff0,0,1\n2,0,0,1\n", 3, id="propagate"),
     pytest.param(["log", "{}"], "r.csv", b"1,0,0\n0,1,0\n\xff0,0,1\n", 3, id="log"),
+    pytest.param(["propagate", "--input", "{}", "--output", "o.csv", "--dt", "0.1"], "bom.csv",
+                 b"\xef\xbb\xbft,wx,wy,wz\n0,0,0,1\n1,\xff0,0,1\n2,0,0,1\n", 3,
+                 id="propagate-after-a-byte-order-mark"),
     pytest.param(["verify", "--trajectory", "{}", "--profile", "w.csv"], "traj.npy", None, 1,
                  id="verify-npy"),
 ])
@@ -496,6 +518,81 @@ def test_a_report_of_overflowed_drift_is_strict_json(tmp_path, capsys):
                 "--method", "euler", "--format", "json"]) == 0
     report = strict_json_loads(capsys.readouterr().out)
     assert (report["max_ortho_err"], report["max_det_err"], report["steps"]) == ("inf", "inf", 3)
+
+
+# The report keys in the order of README.md's File formats section.
+REPORT_KEYS = ["method", "dt", "steps", "max_ortho_err", "max_det_err", "max_residual",
+               "estimated_order", "truncated_span"]
+
+
+def text_value(value):
+    """A report value as the text report writes it."""
+    if value is None:
+        return "n/a"
+    if isinstance(value, bool):
+        return str(value).lower()
+    return "%.17g" % value if isinstance(value, float) else str(value)
+
+
+def written_reports(out, fmt):
+    """The reports a command printed, as dicts in printed order."""
+    if fmt == "json":
+        reports = json.loads(out)
+        return reports if isinstance(reports, list) else [reports]
+    return [dict(line.split("=", 1) for line in block.splitlines())
+            for block in out.rstrip("\n").split("\n\n")]
+
+
+class TestReports:
+    """Every report in full: propagate's dt is the --dt given, its drift the maxima of
+    the written columns; verify's dt, residual and order are those of its check."""
+
+    # 34 samples at a 3 ms step over a 0.1 s span, so the span is truncated; off t = 0,
+    # the grid's mean step is not the 3 ms it was built with
+    rng = np.random.default_rng(31)
+    knots = np.linspace(1.3, 1.4, 6)
+    rates = rng.normal(size=(6, 3))
+
+    @staticmethod
+    def table(path):
+        rows = [line for line in path.read_text().splitlines() if not line.startswith(("#", "t,"))]
+        return np.array([[float(x) for x in row.split(",")] for row in rows])
+
+    def expected(self, path, method, dt, residual=None):
+        table = self.table(path)
+        return {"method": method, "dt": dt, "steps": len(table) - 1,
+                "max_ortho_err": float(table[:, 10].max()),
+                "max_det_err": float(table[:, 11].max()),
+                "max_residual": None if residual is None else residual.max_residual,
+                "estimated_order": None if residual is None else residual.estimated_order,
+                "truncated_span": True}
+
+    def check(self, printed, fmt, expected):
+        reports = written_reports(printed, fmt)
+        assert [list(r) for r in reports] == [REPORT_KEYS] * len(expected)
+        if fmt == "text":
+            expected = [{k: text_value(v) for k, v in e.items()} for e in expected]
+        assert reports == expected
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("method", ["exp", "all"])
+    def test_propagate_and_verify_reports(self, tmp_path, capsys, method, fmt):
+        prof, out = tmp_path / "w.csv", tmp_path / "traj.csv"
+        kio.write_rate_profile(prof, RateProfile(self.knots, self.rates))
+        assert run(["propagate", "--input", prof, "--output", out, "--dt", "0.003",
+                    "--method", method, "--rate-sampling", "midpoint", "--format", fmt]) == 0
+        names = ["exp"] if method == "exp" else ["euler", "euler_renorm", "exp"]
+        paths = [out] if method == "exp" else [tmp_path / f"traj.{m}.csv" for m in names]
+        self.check(capsys.readouterr().out, fmt,
+                   [self.expected(path, m, 0.003) for path, m in zip(paths, names)])
+        for path, m in zip(paths, names):
+            residual = residual_order_report(kio.read_trajectory(path),
+                                             kio.read_rate_profile(prof), [1, 2, 4])
+            assert residual.step_sizes[0] != 0.003  # the finest step measured
+            assert run(["verify", "--trajectory", path, "--profile", prof,
+                        "--format", fmt]) in (0, 1)
+            self.check(capsys.readouterr().out, fmt,
+                       [self.expected(path, m, residual.step_sizes[0], residual)])
 
 
 SUBCOMMANDS = [

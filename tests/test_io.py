@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from so3kin import io as kio
 from so3kin import numtext
 from so3kin.core import RotationMatrix
+from so3kin.differential import ResidualReport
 from so3kin.propagator import (
     DriftReport,
     Interpolation,
@@ -128,6 +129,35 @@ def test_trajectory_round_trip_is_bit_identical(tmp_path, profile):
     assert back.truncated_span == traj.truncated_span
 
 
+def test_metadata_of_numpy_scalars_is_written_as_of_python_scalars(tmp_path):
+    # a numpy dt makes propagate's truncated_span a numpy bool
+    t = np.linspace(0.0, 0.1, 3)
+    profile = RateProfile(t, np.column_stack([t, t, t]))
+    headers = []
+    for dt in (0.003, np.float64(0.003)):
+        path = tmp_path / "traj.csv"
+        kio.write_trajectory(path, propagate(RotationMatrix.identity(), profile, dt,
+                                             Method.EXPONENTIAL))
+        headers.append(path.read_text().splitlines()[:5])
+    assert headers[0] == headers[1] == ["# so3kin trajectory", "# method=exp",
+                                        "# dt=0.0030000000000000001", "# truncated_span=true",
+                                        "# degrees_input=false"]
+
+
+def test_a_trajectory_at_an_epoch_timestamp_round_trips(tmp_path):
+    # a 1 kHz grid at t0 = 1.7e9, where a time's last bit is 2.4e-7 s
+    t = 1.7e9 + np.linspace(0.0, 1.0, 11)
+    profile = RateProfile(t, np.column_stack([np.sin(t - t[0]), np.cos(t - t[0]),
+                                              np.full_like(t, 0.5)]))
+    traj = propagate(RotationMatrix.identity(), profile, 1e-3, Method.EXPONENTIAL)
+    path = tmp_path / "traj.csv"
+    kio.write_trajectory(path, traj)
+    back = kio.read_trajectory(path)
+    assert len(back) == 1001
+    assert np.array_equal(back.times, traj.times)
+    assert np.array_equal(back.matrices, traj.matrices)
+
+
 def test_trajectory_rows_are_fmt_of_every_value(tmp_path):
     m = np.array([[-0.0, 5e-324, 1e300], [-1e300, -5e-324, 0.0], [1.0 / 3.0, -0.0, 1.0]])
     mats = np.array([m, -m])
@@ -228,6 +258,24 @@ def test_a_byte_that_is_not_utf8_names_its_line(tmp_path, read, text, lineno):
     path.write_bytes(text)
     with pytest.raises(kio.ParseError, match="^" + re.escape(f"{path}:{lineno}: 'utf-8' codec")):
         read(path)
+
+
+# A UTF-8 byte-order mark, as some editors write one, is no part of the first line.
+@pytest.mark.parametrize("read", [kio.read_rate_profile, kio.read_trajectory, kio.read_matrix])
+def test_a_leading_byte_order_mark_reads_as_no_text(tmp_path, profile, read):
+    plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    if read is kio.read_rate_profile:
+        kio.write_rate_profile(plain, profile)
+    elif read is kio.read_trajectory:
+        kio.write_trajectory(plain, propagate(RotationMatrix.identity(), profile, 0.1,
+                                              Method.EXPONENTIAL))
+    else:
+        plain.write_text("0,-1,0\n1,0,0\n0,0,1\n")
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    fields = [{"rows": v} if isinstance(v, np.ndarray) else vars(v)
+              for v in (read(plain), read(bom))]
+    assert fields[0].keys() == fields[1].keys()
+    assert all(np.array_equal(fields[0][k], fields[1][k]) for k in fields[0])
 
 
 def test_a_utf8_file_is_read_as_utf8_under_an_ascii_locale(tmp_path):
@@ -418,12 +466,19 @@ def test_a_trajectory_file_is_written_in_two_blocks(tmp_path, monkeypatch):
     assert path.read_text().endswith("".join(blocks) + "\n")
 
 
+def carried_drift(steps, dt, max_ortho_err, max_det_err):
+    """A trajectory at rest whose drift report carries the given maxima."""
+    times = dt * np.arange(steps + 1)
+    drift = DriftReport(per_sample=np.zeros((steps + 1, 3)), max_ortho_err=max_ortho_err,
+                        max_det_err=max_det_err)
+    return Trajectory(times, np.broadcast_to(np.eye(3), (steps + 1, 3, 3)), method="exp",
+                      dt=dt, drift=drift)
+
+
 def test_report_text_and_json_carry_same_values():
     import json
 
-    report = kio.report_dict(method="exp", dt=1e-3, steps=100, max_ortho_err=1e-15,
-                             max_det_err=2e-15, truncated_span=False,
-                             max_residual=None, estimated_order=None)
+    report = kio.report_dict(carried_drift(100, 1e-3, 1e-15, 2e-15))
     text = kio.format_report_text(report)
     fields = dict(line.split("=", 1) for line in text.splitlines())
     assert float(fields["max_ortho_err"]) == 1e-15
@@ -436,8 +491,9 @@ def test_report_text_and_json_carry_same_values():
 
 @pytest.mark.parametrize("value, token", [(np.inf, "inf"), (-np.inf, "-inf"), (np.nan, "nan")])
 def test_a_non_finite_report_value_is_the_string_the_text_report_prints(value, token):
-    report = kio.report_dict(method="euler", dt=0.5, steps=3, max_ortho_err=value,
-                             max_det_err=1.0, truncated_span=False, estimated_order=value)
+    check = ResidualReport(max_residual=1.0, per_sample=np.zeros((2, 2)), step_sizes=[0.5],
+                           estimated_order=value)
+    report = kio.report_dict(carried_drift(3, 0.5, value, 1.0), check)
     text = dict(line.split("=", 1) for line in kio.format_report_text(report).splitlines())
     parsed = strict_json_loads(kio.report_json([report, report]))
     assert parsed[0]["max_ortho_err"] == parsed[1]["estimated_order"] == token == \

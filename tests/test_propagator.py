@@ -37,6 +37,7 @@ from so3kin.propagator import (
     step_euler,
     step_euler_renorm,
     step_exponential,
+    uniform_step,
 )
 
 from oracles import gram_operands, matmul3, random_rotation, rz, series_exp, skew3, svd_project
@@ -123,6 +124,15 @@ class TestSampleRate:
             sample_rate(self.two, 1.5)
         with pytest.raises(OutOfRange, match=r"t = -0\.5 "):
             sample_rates(self.two, np.array([0.0, 0.5, -0.5, 2.0]))
+
+    # the slack past either end scales with the span, not with where its clock starts
+    @pytest.mark.parametrize("t0", [0.0, 1e9, 1.7e9])
+    def test_a_time_past_the_span_is_out_of_range_at_any_epoch(self, t0):
+        profile = RateProfile.constant((0.0, 0.0, 1.0), t0, t0 + 10.0)
+        assert np.array_equal(sample_rates(profile, np.array([t0, t0 + 10.0])),
+                              [[0.0, 0.0, 1.0]] * 2)
+        with pytest.raises(OutOfRange, match=re.escape(f"t = {t0 + 10.9} outside")):
+            sample_rates(profile, np.array([t0 + 10.9]))
 
     @pytest.mark.parametrize("interp", list(Interpolation))
     def test_batch_equals_scalar(self, interp):
@@ -852,6 +862,28 @@ class TestTrajectory:
         times[4] = 0.42
         with pytest.raises(NonUniformSampling, match=re.escape("sample 4 (t = 0.42): step ")):
             Trajectory(times, np.tile(np.eye(3), (11, 1, 1)), "exp", 0.1)
+
+    # evenly spaced, so no step is off the mean: the sign of the step names them
+    @pytest.mark.parametrize("times, first", [(np.zeros(21), "0.0"),
+                                              (-0.01 * np.arange(21), "-0.01")])
+    def test_times_that_do_not_step_forward_name_the_first_sample(self, times, first):
+        with pytest.raises(NonUniformSampling, match=re.escape(
+                f"sample 1 (t = {first}): step {first} is not positive; "
+                "trajectory sample times must increase")):
+            Trajectory(times, np.tile(np.eye(3), (21, 1, 1)), "exp", 0.01)
+
+    # at t = 1e9 the tolerance 1e-12 * max|t| alone is 1e-3 s, a whole 1 kHz step
+    @pytest.mark.parametrize("t0", [1e9, 1.7e9])
+    def test_a_sample_dropped_at_an_epoch_timestamp_is_named(self, t0):
+        times = np.delete(t0 + 1e-3 * np.arange(1001), 500)
+        with pytest.raises(NonUniformSampling, match=re.escape(
+                f"sample 500 (t = {float(times[500])}): step ")):
+            uniform_step(times)
+
+    @pytest.mark.parametrize("t0", [0.0, 1e9, 1.7e9])
+    @pytest.mark.parametrize("h", [1e-3, 1e-5])
+    def test_a_clean_grid_at_an_epoch_timestamp_is_uniform(self, t0, h):
+        assert uniform_step(t0 + h * np.arange(1001)) == pytest.approx(h, rel=1e-3)
 
 
 class TestGridCheckedOnce:
