@@ -22,6 +22,7 @@ from .differential import residual_order_report
 from .propagator import (
     Interpolation,
     Method,
+    OutOfRange,
     RateProfile,
     _trajectory,
     propagate,
@@ -185,7 +186,10 @@ def cmd_verify(args) -> int:
     strides = _parse_list("--strides", args.strides, int)
     traj = kio.read_trajectory(args.trajectory)
     profile = kio.read_rate_profile(args.profile, degrees=traj.degrees_input)
-    report = residual_order_report(traj, profile, strides)
+    try:
+        report = residual_order_report(traj, profile, strides)
+    except OutOfRange as exc:
+        raise OutOfRange(f"{args.profile} does not cover {args.trajectory}: {exc}") from None
     bound = residual_bound(profile, report.step_sizes[0])
     _emit_reports([kio.report_dict(traj, report)], args)
 

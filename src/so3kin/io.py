@@ -4,7 +4,8 @@
   seconds; rates in rad/s
 * trajectory CSV: header ``t,r11,r12,r13,r21,r22,r23,r31,r32,r33,
   ortho_err,det_err``; row-major rotation entries; metadata in leading
-  ``# key=value`` comment lines
+  ``# key=value`` comment lines, where the flags truncated_span and
+  degrees_input read ``true`` or ``false`` (a missing flag is false)
 * reports: JSON objects with fields method, dt, steps, max_ortho_err,
   max_det_err, max_residual (nullable), estimated_order (nullable),
   truncated_span
@@ -185,11 +186,14 @@ def read_trajectory(path) -> Trajectory:
         dt = float(times[1] - times[0])
     else:
         raise ParseError(f"{path}: single-sample trajectory with no dt metadata")
+    flags = {key: metadata.get(key, "false") for key in ("truncated_span", "degrees_input")}
+    for key, value in flags.items():
+        if value not in ("true", "false"):
+            raise ParseError(f"{path}: {key} metadata: expected true or false, got {value!r}")
     try:
         return Trajectory(times=times, matrices=mats,
                           method=metadata.get("method", "unknown"), dt=dt,
-                          truncated_span=metadata.get("truncated_span", "false") == "true",
-                          degrees_input=metadata.get("degrees_input", "false") == "true")
+                          **{key: value == "true" for key, value in flags.items()})
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from None
 

@@ -358,7 +358,7 @@ def propagate(r0: RotationMatrix, profile: RateProfile, dt: float, method: Metho
     except (OverflowError, ValueError, MemoryError):
         raise BadStep(f"dt = {dt} makes {ratio:.3g} steps over profile span {span}, "
                       "too many to form") from None
-    truncated = n_steps * dt < span * (1.0 - 1e-12)
+    truncated = bool(n_steps * dt < span * (1.0 - 1e-12))
     times.flags.writeable = False
     offset = 0.5 * dt if rate_sampling is RateSampling.MIDPOINT else 0.0
     phis = sample_rates(profile, times[:-1] + offset)
@@ -366,15 +366,20 @@ def propagate(r0: RotationMatrix, profile: RateProfile, dt: float, method: Metho
         phis *= dt
     finite = np.isfinite(phis).all(axis=1)
     n = len(phis) if finite.all() else int(np.argmin(finite))  # steps before a non-finite one
-    bad_rate = None if n == len(phis) else (n, NonFinite(
+    # (where, time index, error); each check sees only the steps before the last failure found
+    failure = None if n == len(phis) else (f"step {n}", n, NonFinite(
         f"rotation increment dt * w has non-finite components: {phis[n]}"))
     build, rotations, correct = _SCHEMES[method]
     incs = build(phis[:n])
-    # Rodrigues' I + a S + b S^2 has det (1 - b|phi|^2)^2 + (a|phi|)^2 = 1: no sign to test
-    with np.errstate(invalid="ignore", over="ignore"):
-        bad_inc = _first_failure(np.isfinite(incs).all(axis=(1, 2)), ortho_defects(incs), 1.0,
-                                 r0.tol) if rotations else None
-    mats = np.empty((n + 1, 3, 3))
+    if rotations:
+        # Rodrigues' I + a S + b S^2 has det (1 - b|phi|^2)^2 + (a|phi|)^2 = 1: no sign to test
+        with np.errstate(invalid="ignore", over="ignore"):
+            bad = _first_failure(np.isfinite(incs).all(axis=(1, 2)), ortho_defects(incs), 1.0,
+                                 r0.tol)
+        if bad:
+            n, error = bad
+            failure, incs = (f"increment of step {n}", n, error), incs[:n]
+    mats = np.empty((len(incs) + 1, 3, 3))
     mats[0] = r0.matrix
     # ndarray.dot is np.dot's C routine without array-function dispatch, under half np.matmul's
     # cost per 3x3 product.  A raw euler chain can overflow; its bad sample is named below.
@@ -387,21 +392,13 @@ def propagate(r0: RotationMatrix, profile: RateProfile, dt: float, method: Metho
     mats.flags.writeable = False
     finite, defects, dets = _membership_terms(mats)
     judged = (defects[1:], dets[1:]) if rotations else (0.0, 1.0)  # raw euler: overflow only
-    _raise_first(bad_rate, bad_inc, _first_failure(finite[1:], *judged, r0.tol), times)
+    if bad := _first_failure(finite[1:], *judged, r0.tol):
+        failure = (f"sample {bad[0] + 1}", bad[0] + 1, bad[1])
+    if failure:
+        where, k, error = failure
+        raise type(error)(f"{where} (t = {float(times[k])}): {error}")
     return _trajectory(times=times, matrices=mats, method=method.value, dt=dt,
                        truncated_span=truncated, drift=_drift(times, defects, dets))
-
-
-def _raise_first(rate, increment, sample, times) -> None:
-    """Raise the error that stepping in turn meets first: step k checks its
-    dt * w, then its increment, then the sample k + 1 it produced.  Each
-    argument is that check's first failure as (k, error), or None; the
-    message names the step or sample and its time."""
-    failures = [(f[0], kind, f[1]) for kind, f in enumerate((rate, increment, sample)) if f]
-    if failures:
-        k, kind, error = min(failures, key=lambda f: f[:2])
-        where = (f"step {k}", f"increment of step {k}", f"sample {k + 1}")[kind]
-        raise type(error)(f"{where} (t = {float(times[k + (kind == 2)])}): {error}")
 
 
 def drift_report(traj: Trajectory) -> DriftReport:

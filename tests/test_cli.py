@@ -67,6 +67,20 @@ class TestPropagateCommand:
         assert capsys.readouterr().err == \
             "error: dt = 1e-320 makes inf steps over profile span 1.0, too many to form\n"
 
+    def test_defaults_are_exp_linear_start(self, tmp_path, capsys):
+        # a change of a default must edit this test on purpose
+        t = np.linspace(0.0, 1.0, 11)
+        prof = tmp_path / "w.csv"
+        kio.write_rate_profile(prof, RateProfile(t, np.column_stack(
+            [np.sin(3.0 * t), np.cos(2.0 * t), 0.5 + t])))
+        runs = []
+        for flags in ([], ["--method", "exp", "--interp", "linear", "--rate-sampling", "start"]):
+            out = tmp_path / f"traj{len(runs)}.csv"
+            assert run(["propagate", "--input", prof, "--dt", "0.01", "--output", out,
+                        *flags]) == 0
+            runs.append((out.read_bytes(), capsys.readouterr().out))
+        assert runs[0] == runs[1]
+
     def test_method_all_writes_three_files(self, tmp_path, const_profile, capsys):
         out = tmp_path / "traj.csv"
         code = run(["propagate", "--input", const_profile, "--dt", "0.01",
@@ -368,6 +382,30 @@ class TestVerifyCommand:
                     "--output", out]) == 0
         capsys.readouterr()
         assert run(["verify", "--trajectory", out, "--profile", short]) == 1
+
+    def test_a_profile_that_does_not_cover_the_trajectory_names_both_files(
+            self, tmp_path, const_profile, capsys):
+        short = tmp_path / "short.csv"
+        short.write_text("t,wx,wy,wz\n0,0,0,1\n0.5,0,0,1\n")
+        out = tmp_path / "t2.csv"
+        assert run(["propagate", "--input", const_profile, "--dt", "0.01",
+                    "--output", out]) == 0
+        capsys.readouterr()
+        assert run(["verify", "--trajectory", out, "--profile", short]) == 1
+        assert capsys.readouterr() == ("", f"error: {short} does not cover {out}: "
+                                           "t = 0.51 outside profile span [0.0, 0.5]\n")
+
+    @pytest.mark.parametrize("key", ["truncated_span", "degrees_input"])
+    def test_a_flag_other_than_true_or_false_exits_2_naming_the_file_and_key(
+            self, tmp_path, const_profile, capsys, key):
+        out = tmp_path / "t.csv"
+        assert run(["propagate", "--input", const_profile, "--dt", "0.01",
+                    "--output", out]) == 0
+        out.write_text(out.read_text().replace(f"# {key}=false", f"# {key}=True"))
+        capsys.readouterr()
+        assert run(["verify", "--trajectory", out, "--profile", const_profile]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {out}: {key} metadata: expected true or false, got 'True'\n")
 
     def test_missing_file_exits_2(self, tmp_path, const_profile):
         assert run(["verify", "--trajectory", tmp_path / "nope.csv",

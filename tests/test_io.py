@@ -144,6 +144,32 @@ def test_metadata_of_numpy_scalars_is_written_as_of_python_scalars(tmp_path):
                                         "# degrees_input=false"]
 
 
+def test_a_numpy_dt_gives_a_python_bool_and_a_json_report():
+    t = np.linspace(0.0, 0.1, 3)
+    profile = RateProfile(t, np.column_stack([t, t, t]))
+    traj = propagate(RotationMatrix.identity(), profile, np.float64(0.003), Method.EXPONENTIAL)
+    assert type(traj.truncated_span) is bool
+    assert strict_json_loads(kio.report_json([kio.report_dict(traj)]))["truncated_span"] is True
+
+
+@pytest.mark.parametrize("key", ["truncated_span", "degrees_input"])
+@pytest.mark.parametrize("value", ["True", "False", "1", "yes", ""])
+def test_a_metadata_flag_other_than_true_or_false_names_the_file_and_key(tmp_path, key, value):
+    path = tmp_path / "t.csv"
+    kio.write_trajectory(path, propagate(RotationMatrix.identity(),
+                                         RateProfile.constant((0.0, 0.0, 1.0), 0.0, 0.1), 0.01,
+                                         Method.EXPONENTIAL))
+    text = path.read_text()
+    path.write_text(text.replace(f"# {key}=false", f"# {key}={value}"))
+    with pytest.raises(kio.ParseError) as info:
+        kio.read_trajectory(path)
+    assert str(info.value) == f"{path}: {key} metadata: expected true or false, got {value!r}"
+    for flag in ("true", "false", None):  # a missing flag still reads as false
+        lines = [line for line in text.splitlines() if not line.startswith(f"# {key}=")]
+        path.write_text("\n".join(lines + [f"# {key}={flag}"] * (flag is not None)) + "\n")
+        assert getattr(kio.read_trajectory(path), key) is (flag == "true")
+
+
 def test_a_trajectory_at_an_epoch_timestamp_round_trips(tmp_path):
     # a 1 kHz grid at t0 = 1.7e9, where a time's last bit is 2.4e-7 s
     t = 1.7e9 + np.linspace(0.0, 1.0, 11)

@@ -429,6 +429,14 @@ class TestPropagateMatchesPublicSteps:
                               expected_chain(r0, profile, 1e-3, method, sampling, 1000))
 
     @pytest.mark.parametrize("method", list(Method))
+    def test_rate_sampling_defaults_to_start(self, method):
+        # a change of the default must edit this test on purpose
+        profile = RateProfile(self.knots, self.rates)
+        r0 = validate_rotation(random_rotation(np.random.default_rng(13)))
+        assert np.array_equal(propagate(r0, profile, 1e-3, method).matrices,
+                              propagate(r0, profile, 1e-3, method, RateSampling.START).matrices)
+
+    @pytest.mark.parametrize("method", list(Method))
     def test_truncated_span(self, method):
         profile = RateProfile(np.array([0.0, 0.4, 1.05]), self.rates[:3])
         traj = propagate(RotationMatrix.identity(), profile, 0.1, method)
@@ -626,6 +634,22 @@ class TestFailureOrder:
         r0 = RotationMatrix.identity(ToleranceConfig(ortho_tol=1e-17))
         error, message = raised(lambda: propagate(r0, profile, 2.0, method))
         assert error is NotOrthogonal and message.startswith("increment of step 0 (t = 0.0): ")
+
+    @pytest.mark.parametrize("method, ortho_tol, step", [
+        (Method.EXPONENTIAL, 1e-9, 3), (Method.EXPONENTIAL, 1e-17, 0),
+        (Method.EULER_RENORM, 1e-17, 0)])
+    def test_no_step_is_chained_after_a_failing_increment(self, monkeypatch, method,
+                                                          ortho_tol, step):
+        chained, terms = [], propagator._membership_terms
+        monkeypatch.setattr(propagator, "_membership_terms",
+                            lambda mats: chained.append(len(mats)) or terms(mats))
+        profile = RateProfile(self.profile.times, np.vstack([[0.3, -0.2, 1.0],
+                                                             self.profile.omegas[1:]]),
+                              Interpolation.ZERO_ORDER_HOLD)
+        r0 = RotationMatrix.identity(ToleranceConfig(ortho_tol=ortho_tol))
+        _, message = raised(lambda: propagate(r0, profile, 2.0, method))
+        assert message.startswith(f"increment of step {step} ")
+        assert chained == [step + 1]  # sample 0 and the samples of the steps before it
 
 
 class TestHugeRates:
